@@ -17,7 +17,9 @@ from .info import (
 )
 from .ce import (
     CEParams,
+    alpha_schedule,
     ce_round,
+    ce_update,
     compute_gamma,
     sample_masks,
     select_features,
@@ -47,7 +49,6 @@ from .metrics import (
 )
 from .bounds import (
     BoundInputs,
-    alpha_schedule,
     centralized_miss_bound,
     federated_miss_bound,
     monte_carlo_miss_rate,

@@ -10,26 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .ce import (
-    CEParams,
-    compute_gamma,
-    evaluate_objective,
-    sample_masks,
-    uniform_probs,
-    update_probabilities,
-)
+from .ce import CEParams, alpha_schedule, ce_update, evaluate_objective, sample_masks, uniform_probs
 from .info import DiscreteDataset, NEG_CLAMP
-
-
-def alpha_schedule(round_index: int, m: int) -> float:
-    """Per-round smoothing factor 1/(t*m); its slow decay drives the guarantee."""
-    if round_index < 1 or m < 1:
-        raise ValueError("round_index and m must be positive")
-    return 1.0 / (round_index * m)
 
 
 @dataclass(frozen=True)
@@ -188,7 +174,10 @@ def miss_rate_curve(
 
     Trial s uses streams derived from (params.rng_seed, s, round); a trial
     misses horizon t' when none of its samples up to round t' equals the
-    exhaustively-found optimum.
+    exhaustively-found optimum. A round before t_max that misses updates p
+    with the same :func:`fedfs.ce.ce_update` the optimizer runs; a round
+    that hits stops the trial before any mask is scored, and the last round
+    scores nothing because no later sample would use its update.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
@@ -196,21 +185,15 @@ def miss_rate_curve(
     init = uniform_probs(dataset.m) if p0 is None else np.asarray(p0, dtype=np.float64)
     misses = np.zeros(t_max, dtype=np.int64)
     for s in range(trials):
-        p = init.copy()
+        p = init
         hit_round = None
         for t in range(1, t_max + 1):
             masks = sample_masks(p, params.sample_count, [params.rng_seed, s, t])
             if np.any(np.all(masks == optimum, axis=1)):
                 hit_round = t
                 break
-            objectives = [evaluate_objective(dataset, mask) for mask in masks]
-            gamma = compute_gamma(objectives, params.beta)
-            alpha = (
-                alpha_schedule(t, dataset.m)
-                if params.alpha_mode == "schedule"
-                else params.alpha
-            )
-            p = update_probabilities(p, masks, objectives, gamma, alpha, params.clamp_eps)
+            if t < t_max:
+                p = ce_update(dataset, p, masks, params, t)
         for t in range(1, t_max + 1):
             if hit_round is None or hit_round > t:
                 misses[t - 1] += 1

@@ -37,7 +37,7 @@ class CEParams:
     """Knobs for one optimization round.
 
     ``alpha_mode`` is either "fixed" (use ``alpha`` as-is) or "schedule"
-    (per-round alpha of 1/(t*m), see :func:`fedfs.bounds.alpha_schedule`).
+    (per-round alpha of 1/(t*m), see :func:`alpha_schedule`).
     """
 
     sample_count: int = 100
@@ -58,6 +58,13 @@ class CEParams:
             raise ValueError("alpha_mode must be 'fixed' or 'schedule'")
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValueError("clamp_eps must be in (0, 0.5)")
+
+
+def alpha_schedule(round_index: int, m: int) -> float:
+    """Per-round smoothing factor 1/(t*m); its slow decay drives the miss bounds."""
+    if round_index < 1 or m < 1:
+        raise ValueError("round_index and m must be positive")
+    return 1.0 / (round_index * m)
 
 
 def clamp_probs(p: np.ndarray, eps: float = DEFAULT_CLAMP) -> np.ndarray:
@@ -147,34 +154,46 @@ def update_probabilities(
     return clamp_probs((1.0 - alpha) * p + alpha * freq, eps)
 
 
+def ce_update(
+    dataset: DiscreteDataset,
+    p: np.ndarray,
+    masks: np.ndarray,
+    params: CEParams,
+    round_index: int,
+) -> np.ndarray:
+    """Score already-sampled masks and pull p toward their elite.
+
+    Runs score -> rank -> percentile -> update. The percentile and the elite
+    are taken over :func:`rank_masks` ranks, not raw objectives: the elite is
+    the best ceil((1-beta)*S) masks, plus any copies of the last of them.
+    ``round_index`` only sets alpha under the "schedule" mode.
+    """
+    if params.alpha_mode == "schedule":
+        alpha = alpha_schedule(round_index, dataset.m)
+    else:
+        alpha = params.alpha
+    objectives = [evaluate_objective(dataset, mask) for mask in masks]
+    ranks = rank_masks(masks, objectives)
+    gamma = compute_gamma(ranks, params.beta)
+    return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)
+
+
 def ce_round(
     dataset: DiscreteDataset,
     p_in: np.ndarray,
     params: CEParams,
     round_index: int = 1,
 ) -> np.ndarray:
-    """Execute one sample -> score -> rank -> percentile -> update cycle.
+    """Sample ``params.sample_count`` masks from p_in, then :func:`ce_update`.
 
-    The percentile and the elite are taken over :func:`rank_masks` ranks, not
-    raw objectives: the elite is the best ceil((1-beta)*S) masks, plus any
-    copies of the last of them. Deterministic given (dataset, p_in, params,
-    round_index): the sampling stream is derived from the seed and the round
-    index.
+    Deterministic given (dataset, p_in, params, round_index): the sampling
+    stream is derived from the seed and the round index.
     """
     p_in = np.asarray(p_in, dtype=np.float64)
     if p_in.shape[0] != dataset.m:
         raise ValueError("probability vector length must equal feature count")
-    if params.alpha_mode == "schedule":
-        from .bounds import alpha_schedule
-
-        alpha = alpha_schedule(round_index, dataset.m)
-    else:
-        alpha = params.alpha
     masks = sample_masks(p_in, params.sample_count, [params.rng_seed, round_index])
-    objectives = [evaluate_objective(dataset, mask) for mask in masks]
-    ranks = rank_masks(masks, objectives)
-    gamma = compute_gamma(ranks, params.beta)
-    return update_probabilities(p_in, masks, ranks, gamma, alpha, params.clamp_eps)
+    return ce_update(dataset, p_in, masks, params, round_index)
 
 
 def select_features(p: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> list[int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ from . import bounds as bounds_mod
 from .ce import select_features
 from .config import ConfigError, ExperimentConfig, parse_config
 from .datasets import generate_planted, load_csv, partition_iid, save_csv
-from .federation import ClientState, FaultModel, derive_seed, run_federation
+from .federation import UNIT_BYTES, ClientState, FaultModel, derive_seed, run_federation
 from .info import DiscreteDataset, DiscretizationSpec
 from .metrics import SelectionSummary, cache_accumulate, compression_ratio
 from .plots import line_curve_svg, probability_bars_svg
@@ -63,13 +62,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FEDFS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_experiment(config: ExperimentConfig) -> int:
     """Run one centralized or federated experiment; write CSVs and plots."""
     dataset = _build_dataset(config)
@@ -83,7 +75,6 @@ def run_experiment(config: ExperimentConfig) -> int:
         tau2=config.tau2,
         max_rounds=config.max_rounds,
         threshold=config.threshold,
-        max_workers=_max_workers(),
     )
 
     out_dir = Path(config.out_dir)
@@ -106,7 +97,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 len(select_features(record.p_global, config.threshold)),
                 ";".join(str(i) for i in record.participants),
                 cum_units,
-                cum_units * 4,
+                cum_units * UNIT_BYTES,
             ]
         )
     _write_csv(
@@ -128,7 +119,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             dataset.m,
             repr(float(compression_ratio(summary))),
             report.total_overhead_units,
-            report.total_overhead_units * 4,
+            report.total_overhead_units * UNIT_BYTES,
             cache_total,
             int(report.converged),
         ]],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -177,33 +177,6 @@ def save_csv(dataset: DiscreteDataset, path: str | Path, label_column: str = "la
         writer.writerow(list(dataset.feature_names) + [label_column])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([int(v) for v in row] + [int(label)])
-
-
-# Column layouts mirroring the two reference sensor-record shapes.
-WESAD_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("ACC_x", "imu"),
-    ("ACC_y", "imu"),
-    ("ACC_z", "imu"),
-    ("ECG", "bio"),
-    ("EMG", "bio"),
-    ("EDA", "bio"),
-    ("TEMP", "bio"),
-    ("RSP", "bio"),
-)
-
-MAV_COLUMNS: tuple[tuple[str, str], ...] = tuple(
-    [(f"HOG_{i}", "hog") for i in range(2160)]
-    + [(name, "imu") for name in ("ACC_x", "ACC_y", "ACC_z", "AV_x", "AV_y", "AV_z")]
-)
-
-
-def erid_schema(preset: str) -> tuple[tuple[str, str], ...]:
-    """Ordered (name, kind) column descriptors for a preset record shape."""
-    if preset == "mav":
-        return MAV_COLUMNS
-    if preset == "wesad":
-        return WESAD_COLUMNS
-    raise ValueError(f"unknown preset {preset!r}")
 
 
 def preset_planted_spec(preset: str, rng_seed: int = 0) -> PlantedSpec:

@@ -1,18 +1,18 @@
 """Round-based federated feature selection protocol.
 
 A server holds a global Bernoulli probability vector over features. Each
-synchronous round it broadcasts the vector to every client; each non-faulty
-client runs one local cross-entropy round on its private partition and sends
-back its updated vector as a sparse message. The server aggregates the
-replies weighted by local dataset size and stops when successive global
-vectors pass a two-sample Kolmogorov-Smirnov stability check.
+synchronous round every non-faulty client runs one local cross-entropy round
+from that vector on its private partition and sends back its updated vector
+as a sparse message; clients keep no state between rounds. The server
+aggregates the replies weighted by local dataset size and stops when
+successive global vectors pass a two-sample Kolmogorov-Smirnov stability
+check.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -34,6 +34,7 @@ DEFAULT_TAU2 = 1e-6
 DEFAULT_MAX_ROUNDS = 200
 
 _HEADER = struct.Struct("<IQI")  # client_id, local sample count, nonzero count
+UNIT_BYTES = 4  # one scalar slot on the wire: a float32 value or a bitmap word
 
 
 class ProtocolError(ValueError):
@@ -49,23 +50,20 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts]).generate_state(2).view(np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
-    """One simulated client: a private data partition plus its local vector."""
+    """One simulated client: a private data partition and its stream seed."""
 
     client_id: int
     dataset: DiscreteDataset
     rng_seed: int = 0
     draw_size: Optional[int] = None
-    local_p: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.dataset.n < 1:
             raise ValueError("client partition must be non-empty")
         if self.draw_size is not None and self.draw_size < 1:
             raise ValueError("draw_size must be positive")
-        if self.local_p is None:
-            self.local_p = uniform_probs(self.dataset.m)
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,13 @@ class UpdateMessage:
     bitmap: bytes
 
     def __post_init__(self) -> None:
-        if _popcount(self.bitmap) != len(self.nonzero_probs):
+        if int.from_bytes(self.bitmap, "little").bit_count() != len(self.nonzero_probs):
             raise ProtocolError("bitmap popcount must equal nonzero probability count")
+        if self.sample_count < 1:
+            raise ProtocolError("sample_count must be positive")
+        # A NaN fails both comparisons, so this also refuses non-finite values.
+        if not all(0.0 <= v <= 1.0 for v in self.nonzero_probs):
+            raise ProtocolError("probabilities must be finite and in [0, 1]")
 
     @property
     def nonzero_count(self) -> int:
@@ -100,12 +103,10 @@ class UpdateMessage:
         payload = raw[_HEADER.size + bitmap_len :]
         if len(payload) != 4 * z:
             raise ProtocolError(f"expected {z} float32 values, got {len(payload)} bytes")
+        if m % 8 and bitmap[-1] >> (m % 8):
+            raise ProtocolError(f"bitmap marks positions beyond m={m}")
         probs = struct.unpack(f"<{z}f", payload)
         return cls(client_id, sample_count, tuple(probs), bitmap)
-
-
-def _popcount(bitmap: bytes) -> int:
-    return sum(byte.bit_count() for byte in bitmap)
 
 
 def encode_message(
@@ -120,34 +121,37 @@ def encode_message(
     transmitted; omitted entries decode as zero.
     """
     p = np.asarray(p, dtype=np.float64)
-    m = p.shape[0]
     keep = p > eps
-    bitmap = bytearray((m + 7) // 8)
-    for i in np.flatnonzero(keep):
-        bitmap[i // 8] |= 1 << (i % 8)
-    return UpdateMessage(client_id, sample_count, tuple(float(v) for v in p[keep]), bytes(bitmap))
+    bitmap = np.packbits(keep, bitorder="little").tobytes()
+    return UpdateMessage(client_id, sample_count, tuple(p[keep].tolist()), bitmap)
 
 
 def decode_message(message: UpdateMessage, m: int) -> np.ndarray:
     """Reconstruct the length-m vector; omitted positions are restored as 0."""
     if len(message.bitmap) != (m + 7) // 8:
         raise ProtocolError(f"bitmap has {len(message.bitmap)} bytes, expected {(m + 7) // 8}")
+    bits = np.unpackbits(
+        np.frombuffer(message.bitmap, dtype=np.uint8), count=m, bitorder="little"
+    ).astype(bool)
+    if np.count_nonzero(bits) != message.nonzero_count:
+        raise ProtocolError(f"bitmap marks positions beyond m={m}")
     p = np.zeros(m, dtype=np.float64)
-    values = iter(message.nonzero_probs)
-    for i in range(m):
-        if message.bitmap[i // 8] >> (i % 8) & 1:
-            p[i] = next(values)
+    p[bits] = message.nonzero_probs
     return p
 
 
-def message_overhead_units(message: UpdateMessage, m: int, unit_bytes: int = 4) -> int:
-    """Scalar-slot traffic cost of one exchange involving this message.
+def exchange_units(nonzero_count: int, bitmap_units: int) -> int:
+    """Scalar slots of one client exchange: 2*(z + 1 + b).
 
-    Counts the nonzero values plus one weight slot plus the bitmap expressed
-    in unit-sized words, doubled for the downlink/uplink pair.
+    The z nonzero values, one weight slot and b bitmap words, doubled for
+    the downlink/uplink pair.
     """
-    bitmap_units = math.ceil((m + 7) // 8 / unit_bytes)
-    return 2 * (message.nonzero_count + 1 + bitmap_units)
+    return 2 * (nonzero_count + 1 + bitmap_units)
+
+
+def message_overhead_units(message: UpdateMessage, m: int) -> int:
+    """Scalar-slot traffic cost of one exchange involving this message."""
+    return exchange_units(message.nonzero_count, math.ceil((m + 7) // 8 / UNIT_BYTES))
 
 
 def client_round(
@@ -156,11 +160,12 @@ def client_round(
     params: CEParams,
     round_index: int,
 ) -> UpdateMessage:
-    """One local round: adopt the global vector, optimize on local data, reply.
+    """One local round from the global vector on local data; returns the reply.
 
-    If ``draw_size`` is set, the client draws that many rows with replacement
-    from its partition and optimizes on the draw; the reported sample count
-    is always the full partition size.
+    Pure: the client is not modified. If ``draw_size`` is set, the client
+    draws that many rows with replacement from its partition and optimizes
+    on the draw; the reported sample count is always the full partition
+    size.
     """
     p_global = np.asarray(p_global, dtype=np.float64)
     if p_global.shape[0] != client.dataset.m:
@@ -171,8 +176,8 @@ def client_round(
         rows = rng.integers(0, data.n, size=client.draw_size)
         data = DiscreteDataset(data.features[rows], data.labels[rows], data.feature_names)
     local_params = replace(params, rng_seed=derive_seed(params.rng_seed, client.rng_seed))
-    client.local_p = ce_round(data, p_global, local_params, round_index)
-    return encode_message(client.client_id, client.local_p, client.dataset.n, params.clamp_eps)
+    p_new = ce_round(data, p_global, local_params, round_index)
+    return encode_message(client.client_id, p_new, client.dataset.n, params.clamp_eps)
 
 
 def aggregate(messages: Sequence[UpdateMessage], m: int) -> np.ndarray:
@@ -280,13 +285,13 @@ def run_federation(
     tau2: float = DEFAULT_TAU2,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     threshold: float = DEFAULT_THRESHOLD,
-    max_workers: int = 1,
 ) -> FederationReport:
     """Drive the full server loop until KS convergence or the round budget.
 
-    Every round the global vector is broadcast to all clients, faulty or
-    not; only non-faulty clients contribute messages. A round with no
-    messages carries the global vector over unchanged but still counts.
+    Every round each non-faulty client runs one local round from the current
+    global vector; faulty clients send nothing that round and rejoin from the
+    global vector of a later one. A round with no messages carries the
+    global vector over unchanged but still counts.
     """
     if not clients:
         raise ValueError("need at least one client")
@@ -304,18 +309,10 @@ def run_federation(
     converged = False
 
     for r in range(1, max_rounds + 1):
-        for client in clients:
-            client.local_p = p_global.copy()
         participants = [
             c for c in clients if fault is None or not fault.is_faulty(c.client_id, r)
         ]
-        if max_workers > 1 and len(participants) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                messages = list(
-                    pool.map(lambda c: client_round(c, p_global, params, r), participants)
-                )
-        else:
-            messages = [client_round(c, p_global, params, r) for c in participants]
+        messages = [client_round(c, p_global, params, r) for c in participants]
 
         p_old = p_global
         if messages:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .federation import FederationReport
+from .federation import UNIT_BYTES, FederationReport, exchange_units
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class OverheadInputs:
     clients: int
     nonzero_count: int
     bitmap_units: int
-    unit_bytes: int = 4
+    unit_bytes: int = UNIT_BYTES
 
     def __post_init__(self) -> None:
         for name in ("rounds", "clients", "nonzero_count", "bitmap_units", "unit_bytes"):
@@ -57,7 +57,7 @@ def compression_ratio(summary: SelectionSummary) -> float:
 
 def network_overhead(inputs: OverheadInputs) -> dict[str, int]:
     """Total control traffic: R*L*2*(z+1+b) scalar units, and the byte view."""
-    units = inputs.rounds * inputs.clients * 2 * (inputs.nonzero_count + 1 + inputs.bitmap_units)
+    units = inputs.rounds * inputs.clients * exchange_units(inputs.nonzero_count, inputs.bitmap_units)
     return {"units": units, "bytes": units * inputs.unit_bytes}
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fedfs.bounds as bounds
+import fedfs.ce as ce
 from fedfs.bounds import (
     BoundInputs,
     alpha_schedule,
@@ -188,6 +190,30 @@ class TestMonteCarlo:
         params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=3)
         curve = miss_rate_curve(xor_noise_dataset, params, 4, 200)
         assert all(b <= a for a, b in zip(curve, curve[1:]))
+
+    def test_misses_run_the_shipped_ce_update(self, xor_noise_dataset, monkeypatch):
+        # A trial updates in round t < t_max exactly when it missed every
+        # round up to t, and each update ranks the elite; a hit round, and the
+        # last round, score nothing.
+        assert bounds.ce_update is ce.ce_update
+        calls = {"update": 0, "rank": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "ce_update", counting("update", ce.ce_update))
+        monkeypatch.setattr(ce, "rank_masks", counting("rank", ce.rank_masks))
+        params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=404)
+        curve = miss_rate_curve(xor_noise_dataset, params, 5, 200)
+        assert calls["update"] == round(200 * sum(curve[:-1])) > 0
+        assert calls["rank"] == calls["update"]
+
+    def test_alpha_schedule_shared_with_ce(self):
+        assert alpha_schedule is ce.alpha_schedule
 
     def test_deterministic(self, xor_noise_dataset):
         params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=3)

@@ -9,6 +9,7 @@ import pytest
 from fedfs.ce import (
     CEParams,
     ce_round,
+    ce_update,
     clamp_probs,
     compute_gamma,
     evaluate_objective,
@@ -241,6 +242,14 @@ class TestCeRound:
     def test_length_mismatch(self, xor_dataset):
         with pytest.raises(ValueError):
             ce_round(xor_dataset, uniform_probs(3), CEParams())
+
+    @pytest.mark.parametrize("alpha_mode", ["fixed", "schedule"])
+    def test_is_sample_then_update(self, xor_noise_dataset, alpha_mode):
+        params = CEParams(sample_count=30, alpha_mode=alpha_mode, rng_seed=11)
+        p = np.array([0.3, 0.6, 0.45])
+        masks = sample_masks(p, 30, [11, 3])
+        expected = ce_update(xor_noise_dataset, p, masks, params, 3)
+        assert ce_round(xor_noise_dataset, p, params, 3).tolist() == expected.tolist()
 
     def test_planted_full_relevant_mask_scores_zero(self, planted50):
         mask = np.zeros(50, dtype=np.int64)

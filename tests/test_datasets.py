@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from fedfs.datasets import (
-    MAV_COLUMNS,
-    WESAD_COLUMNS,
     PlantedSpec,
-    erid_schema,
     generate_planted,
     load_csv,
     partition_iid,
@@ -160,7 +157,8 @@ class TestCsvIo:
 
     def test_wesad_shaped_csv(self, tmp_path):
         rng = np.random.default_rng(0)
-        header = ",".join(name for name, _ in WESAD_COLUMNS) + ",label"
+        names = ("ACC_x", "ACC_y", "ACC_z", "ECG", "EMG", "EDA", "TEMP", "RSP")
+        header = ",".join(names) + ",label"
         lines = [header]
         for _ in range(20):
             values = rng.random(8)
@@ -169,7 +167,7 @@ class TestCsvIo:
         path.write_text("\n".join(lines) + "\n")
         ds = load_csv(path)
         assert ds.m == 8
-        assert ds.feature_names == tuple(name for name, _ in WESAD_COLUMNS)
+        assert ds.feature_names == names
 
     def test_non_integer_label_rejected(self, tmp_path):
         path = tmp_path / "fl.csv"
@@ -179,14 +177,9 @@ class TestCsvIo:
 
 
 class TestPresets:
-    def test_schema_shapes(self):
-        assert len(erid_schema("wesad")) == 8
-        assert len(erid_schema("mav")) == 2166
-        assert len(MAV_COLUMNS) == 2166
-
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
-            erid_schema("other")
+            preset_planted_spec("other")
 
     def test_wesad_preset_spec(self):
         spec = preset_planted_spec("wesad", rng_seed=1)

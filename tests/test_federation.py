@@ -98,12 +98,55 @@ class TestCodec:
             UpdateMessage(0, 1, (0.5,), bytes([0b11]))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64))
-    def test_round_trip_property(self, values):
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
+        st.binary(max_size=96),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_round_trip_property(self, values, raw, cut):
         p = np.array(values)
         p[p <= 1e-6] = 0.0
         msg = encode_message(0, p, sample_count=1)
         assert np.array_equal(decode_message(msg, p.size), p)
+        # Arbitrary bytes, alone or spliced after a valid prefix, either parse
+        # into a message that decodes into [0, 1] or raise ProtocolError.
+        for fuzzed in (raw, msg.to_bytes()[:cut] + raw):
+            try:
+                back = UpdateMessage.from_bytes(fuzzed, p.size)
+            except ProtocolError:
+                continue
+            decoded = decode_message(back, p.size)
+            assert back.sample_count >= 1
+            assert np.all((decoded >= 0.0) & (decoded <= 1.0))
+
+
+MALFORMED = [(0, 0.5), (1, float("nan")), (1, 7.5), (1, -0.1), (1, float("inf"))]
+
+
+class TestMessageValidation:
+    @pytest.mark.parametrize("sample_count, value", MALFORMED)
+    def test_constructor_refuses(self, sample_count, value):
+        with pytest.raises(ProtocolError):
+            UpdateMessage(0, sample_count, (value,), bytes([0b1]))
+
+    @pytest.mark.parametrize("sample_count, value", MALFORMED)
+    def test_from_bytes_refuses(self, sample_count, value):
+        raw = struct.pack("<IQI", 0, sample_count, 1) + bytes([0b1]) + struct.pack("<f", value)
+        with pytest.raises(ProtocolError):
+            UpdateMessage.from_bytes(raw, 3)
+
+    def test_closed_unit_interval_accepted(self):
+        raw = struct.pack("<IQI", 0, 1, 2) + bytes([0b101]) + struct.pack("<2f", 0.0, 1.0)
+        back = UpdateMessage.from_bytes(raw, 3)
+        assert decode_message(back, 3).tolist() == [0.0, 0.0, 1.0]
+
+    def test_bits_beyond_m_refused(self):
+        # Bit 3 lies in the padding of a 3-feature bitmap.
+        raw = struct.pack("<IQI", 0, 1, 1) + bytes([0b1000]) + struct.pack("<f", 0.5)
+        with pytest.raises(ProtocolError):
+            UpdateMessage.from_bytes(raw, 3)
+        with pytest.raises(ProtocolError):
+            decode_message(UpdateMessage(0, 1, (0.5,), bytes([0b1000])), 3)
 
 
 class TestOverheadUnits:
@@ -345,20 +388,31 @@ class TestRunFederation:
         assert np.allclose(record.p_global, expected)
 
     def test_broadcast_reaches_faulty_clients(self, tiny_planted):
-        # Clients excluded from aggregation still receive the global vector.
+        # A client that was faulty in round 1 rejoins in round 2 from the
+        # round-1 global vector, as if it had never left.
         parts = partition_iid(tiny_planted, 2, rng_seed=1)
         clients = [ClientState(i, parts[i], rng_seed=i) for i in range(2)]
+        params = CEParams(sample_count=20)
 
-        class AlwaysFaultyOne(FaultModel):
+        class FaultyOneInRoundOne(FaultModel):
             def is_faulty(self, client_id, round_index):
-                return client_id == 1
+                return client_id == 1 and round_index == 1
 
-        report = run_federation(
-            clients, CEParams(sample_count=20), fault=AlwaysFaultyOne(), max_rounds=1
-        )
-        assert report.rounds[0].participants == [0]
-        prev_global = uniform_probs(4)  # broadcast of round 1
-        assert np.array_equal(clients[1].local_p, prev_global)
+        report = run_federation(clients, params, fault=FaultyOneInRoundOne(), max_rounds=2)
+        assert [r.participants for r in report.rounds] == [[0], [0, 1]]
+        p1 = report.rounds[0].p_global
+        messages = [client_round(c, p1, params, 2) for c in clients]
+        expected = np.clip(aggregate(messages, 4), 1e-6, 1 - 1e-6)
+        assert np.array_equal(report.rounds[1].p_global, expected)
+
+    def test_client_round_is_pure(self, tiny_planted):
+        client = ClientState(0, tiny_planted, rng_seed=4, draw_size=64)
+        p = uniform_probs(4)
+        first = client_round(client, p, CEParams(sample_count=20), 1)
+        assert np.array_equal(p, uniform_probs(4))
+        assert client_round(client, p, CEParams(sample_count=20), 1) == first
+        with pytest.raises(AttributeError):
+            client.rng_seed = 5
 
     def test_all_faulty_round_carries_vector_over(self, tiny_planted):
         class AllFaulty(FaultModel):
@@ -386,18 +440,6 @@ class TestRunFederation:
         )
         assert not report.converged
         assert report.total_rounds == 1
-
-    def test_thread_pool_matches_serial(self, tiny_planted):
-        params = CEParams(sample_count=30, rng_seed=2)
-        parts = partition_iid(tiny_planted, 4, rng_seed=0)
-
-        def fresh():
-            return [ClientState(i, parts[i], rng_seed=i) for i in range(4)]
-
-        serial = run_federation(fresh(), params, max_rounds=3, max_workers=1)
-        threaded = run_federation(fresh(), params, max_rounds=3, max_workers=4)
-        assert serial.total_rounds == threaded.total_rounds
-        assert np.array_equal(serial.final_p, threaded.final_p)
 
     def test_mismatched_feature_counts_rejected(self, tiny_planted, xor_dataset):
         with pytest.raises(ProtocolError):
