@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from .ce import select_features
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .datasets import generate_planted, load_csv, partition_iid, save_csv
 from .federation import UNIT_BYTES, ClientState, FaultModel, derive_seed, run_federation
 from .info import DiscreteDataset, DiscretizationSpec
@@ -199,9 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bounds":
             return run_bounds(config)
         return gen_planted(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

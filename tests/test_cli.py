@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, outputs, determinism."""
 
 import csv
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from fedfs.cli import main
-from fedfs.config import ConfigError, parse_config
+from fedfs.config import ConfigError, ExperimentConfig, parse_config
 from fedfs.datasets import load_csv
 
 BASE_CONFIG = """
@@ -21,6 +23,43 @@ beta = 0.9
 alpha = 0.7
 seed = 5
 """
+
+
+# One valid non-default value per config key: (text in the file, parsed value).
+FIELD_SAMPLES = {
+    "mode": ("centralized", "centralized"),
+    "dataset": ("preset", "preset"),
+    "csv_path": ("data/run.csv", "data/run.csv"),
+    "label_column": ("activity", "activity"),
+    "bins": ("4", 4),
+    "preset": ("mav", "mav"),
+    "planted_m": ("12", 12),
+    "planted_n": ("256", 256),
+    "planted_relevant": ("2, 5,7", (2, 5, 7)),
+    "planted_redundant": ("3:0, 4:1", {3: 0, 4: 1}),
+    "planted_rule": ("sum_mod_k", "sum_mod_k"),
+    "planted_modulus": ("3", 3),
+    "clients": ("6", 6),
+    "sample_count": ("40", 40),
+    "beta": ("0.8", 0.8),
+    "alpha": ("0.5", 0.5),
+    "alpha_mode": ("schedule", "schedule"),
+    "clamp_eps": ("0.001", 0.001),
+    "tau1": ("0.9", 0.9),
+    "tau2": ("0.05", 0.05),
+    "rho": ("0.25", 0.25),
+    "threshold": ("0.95", 0.95),
+    "max_rounds": ("50", 50),
+    "draw_size": ("32", 32),
+    "seed": ("17", 17),
+    "out_dir": ("results", "results"),
+    "record_bytes": ("0", 0),
+    "t_max": ("7", 7),
+    "trials": ("250", 250),
+}
+
+# Lines a sample needs beside it to pass validation.
+FIELD_CONTEXT = {"dataset": "preset = wesad\n"}
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -58,6 +97,36 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_every_field_parses(self, tmp_path, name):
+        text, expected = FIELD_SAMPLES[name]
+        assert getattr(ExperimentConfig(), name) != expected
+        path = write_config(tmp_path, f"{name} = {text}\n" + FIELD_CONTEXT.get(name, ""))
+        parsed = getattr(parse_config(path), name)
+        assert parsed == expected
+        assert type(parsed) is type(expected)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["planted_relevant = 0,x", "planted_redundant = 4-0", "bins = 2.5", "beta = high"],
+    )
+    def test_unparsable_value_names_field(self, tmp_path, line):
+        key = line.split(" ", 1)[0]
+        with pytest.raises(ConfigError, match=f"invalid value for {key}"):
+            parse_config(write_config(tmp_path, line + "\n"))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "alpha = 0", "alpha_mode = linear", "clamp_eps = 0.5", "sample_count = 1",
+            "rho = 1.0", "seed = -3", "record_bytes = -1", "draw_size = 0",
+        ],
+    )
+    def test_out_of_range_value_names_field(self, tmp_path, line):
+        key = line.split(" ", 1)[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(write_config(tmp_path, line + "\n"))
 
     def test_redundant_map_syntax(self, tmp_path):
         path = write_config(
@@ -99,6 +168,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "beta" in err
+
+    def test_negative_record_bytes_exit_one_before_running(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"record_bytes = -1\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "record_bytes" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "selection.csv").exists()
+        assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_round_budget_exhaustion_exit_two(self, tmp_path):
         cfg = write_config(
@@ -178,6 +254,47 @@ seed = 2
         assert main(["bounds", str(cfg)]) == 0
         for _, bound, rate in read_rows(tmp_path / "out" / "bounds.csv")[1:]:
             assert float(rate) <= float(bound) + 0.05
+
+    def test_negative_seed_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG + f"t_max = 1\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["bounds", str(cfg), "--seed", "-3"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDatasetSources:
+    def test_csv_written_by_gen_planted(self, tmp_path):
+        planted = (
+            "planted_m = 6\nplanted_n = 512\nplanted_relevant = 0,1\nplanted_rule = xor\n"
+            f"clients = 4\nseed = 5\ncsv_path = {tmp_path / 'data.csv'}\nlabel_column = y\n"
+        )
+        assert main(["gen-planted", str(write_config(tmp_path, planted, "gen.cfg"))]) == 0
+        run_cfg = write_config(
+            tmp_path,
+            planted + f"dataset = csv\nbins = 3\nout_dir = {tmp_path / 'out'}\n",
+            "run.cfg",
+        )
+        assert main(["run", str(run_cfg)]) == 0
+        selection = read_rows(tmp_path / "out" / "selection.csv")[1:]
+        assert len(selection) == 6
+        assert [int(r[0]) for r in selection if r[2] == "1"] == [0, 1]
+
+    def test_wesad_preset(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            f"dataset = preset\npreset = wesad\nclients = 4\nseed = 5\nout_dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(cfg)]) == 0
+        selection = read_rows(tmp_path / "out" / "selection.csv")[1:]
+        assert len(selection) == 8
+        assert [int(r[0]) for r in selection if r[2] == "1"] == [1, 2, 5, 6]
+
+
+class TestReadme:
+    def test_names_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        missing = [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in readme]
+        assert missing == []
 
 
 class TestGenPlantedCommand:
