@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .info import DiscreteDataset, conditional_entropy
+from .info import DiscreteDataset, score_mask, validate_mask
 
 # Keeps every mask reachable: the frequency update alone can pin a
 # probability to exactly 0 or 1, which freezes exploration.
@@ -91,8 +91,8 @@ def sample_masks(p: np.ndarray, count: int, rng_seed) -> np.ndarray:
 
 
 def evaluate_objective(dataset: DiscreteDataset, mask: np.ndarray) -> float:
-    """Score a mask: conditional entropy of the labels given the masked features."""
-    return conditional_entropy(dataset, mask)
+    """Score a 0/1 mask of length m: H(labels | masked features), unchecked."""
+    return score_mask(dataset, mask)
 
 
 def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
@@ -163,11 +163,13 @@ def ce_update(
 ) -> np.ndarray:
     """Score already-sampled masks and pull p toward their elite.
 
-    Runs score -> rank -> percentile -> update. The percentile and the elite
-    are taken over :func:`rank_masks` ranks, not raw objectives: the elite is
-    the best ceil((1-beta)*S) masks, plus any copies of the last of them.
-    ``round_index`` only sets alpha under the "schedule" mode.
+    Runs check -> score -> rank -> percentile -> update. The (S, m) batch is
+    checked once, so each mask is scored unchecked. The percentile and the
+    elite are taken over :func:`rank_masks` ranks, not raw objectives: the
+    elite is the best ceil((1-beta)*S) masks, plus any copies of the last of
+    them. ``round_index`` only sets alpha under the "schedule" mode.
     """
+    validate_mask(masks, dataset.m, ndim=2)
     if params.alpha_mode == "schedule":
         alpha = alpha_schedule(round_index, dataset.m)
     else:

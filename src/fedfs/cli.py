@@ -161,9 +161,8 @@ def run_bounds(config: ExperimentConfig) -> int:
 def gen_planted(config: ExperimentConfig) -> int:
     """Write a planted synthetic dataset as CSV."""
     dataset = generate_planted(config.planted_spec())
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = Path(config.csv_path) if config.csv_path else out_dir / "planted.csv"
+    target = Path(config.csv_path) if config.csv_path else Path(config.out_dir) / "planted.csv"
+    target.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, target, config.label_column)
     return EXIT_OK
 

@@ -75,10 +75,12 @@ class ExperimentConfig:
             raise ConfigError("csv_path is required when dataset = csv")
         if self.dataset == "preset" and self.preset not in ("mav", "wesad"):
             raise ConfigError(f"invalid value for preset: {self.preset!r}")
-        # The CE and fault knobs are range-checked by the types that use them.
+        # The CE, fault and planted knobs are range-checked by the types that use them.
         try:
             self.ce_params()
             FaultModel(self.rho)
+            if self.dataset in ("planted", "preset"):
+                self.planted_spec()
         except ValueError as exc:
             raise ConfigError(f"invalid value: {exc}") from None
 

@@ -9,6 +9,7 @@ determines the labels drives it to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -16,8 +17,11 @@ import numpy as np
 # Negative values smaller than this are floating-point cancellation, not signal.
 NEG_CLAMP = 1e-12
 
-# Compact joint codes before they can overflow a signed 64-bit integer.
-_CODE_LIMIT = 2**62
+_WORD_BITS = 64
+# 2**0 .. 2**62: the count of these <= v is v.bit_length() for any int64 v >= 0.
+_POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
+_ZERO = np.uint64(0)
+_EDGE = np.ones(1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,67 @@ class DiscreteDataset:
     def m(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def packed(self) -> PackedRows:
+        """The rows as bit fields in uint64 words, built on first use and kept."""
+        return _pack_rows(self.features, self.labels)
 
-def validate_mask(mask: np.ndarray | Sequence[int], m: int) -> np.ndarray:
-    """Check a binary feature mask against a feature count and return it as bools."""
+
+@dataclass(frozen=True)
+class PackedRows:
+    """The rows of a dataset as bit fields in uint64 words.
+
+    Column j takes ``max(1, max_j.bit_length())`` bits. Columns fill each
+    word from its most significant end in column order and never straddle
+    two words; the label takes the lowest bits of the last word, which is a
+    word of its own when the last column word lacks the room. Comparing
+    two rows word by word, most significant bit first, therefore compares
+    their (column 0, ..., column m-1, label) tuples lexicographically.
+    """
+
+    words: np.ndarray  # (n, W) uint64
+    fields: np.ndarray  # (m,) uint64: the bits of column j within its word
+    word_starts: np.ndarray  # first column of each word that holds columns
+    label_field: np.uint64  # the label's bits within the last word
+
+
+def _bit_widths(values: np.ndarray) -> np.ndarray:
+    return np.maximum(1, np.searchsorted(_POWERS_OF_TWO, values, side="right"))
+
+
+def _pack_rows(features: np.ndarray, labels: np.ndarray) -> PackedRows:
+    widths = _bit_widths(features.max(axis=0))
+    ends = np.cumsum(widths)
+    starts: list[int] = []
+    shifts = np.empty(widths.size, dtype=np.uint64)
+    first, used = 0, 0
+    while first < widths.size:
+        stop = int(np.searchsorted(ends, used + _WORD_BITS, side="right"))
+        shifts[first:stop] = _WORD_BITS - (ends[first:stop] - used)
+        starts.append(first)
+        first, used = stop, int(ends[stop - 1])
+    label_width = int(_bit_widths(labels.max()))
+    spare = int(shifts[-1])
+    words = np.zeros((features.shape[0], len(starts) + (label_width > spare)), dtype=np.uint64)
+    for w, (first, stop) in enumerate(zip(starts, starts[1:] + [widths.size])):
+        shifted = features[:, first:stop].view(np.uint64) << shifts[first:stop]
+        words[:, w] = np.bitwise_or.reduce(shifted, axis=1)
+    words[:, -1] |= labels.view(np.uint64)
+    one = np.uint64(1)
+    fields = ((one << widths.astype(np.uint64)) - one) << shifts
+    label_field = (one << np.uint64(label_width)) - one
+    words.setflags(write=False)
+    return PackedRows(words, fields, np.array(starts, dtype=np.intp), label_field)
+
+
+def validate_mask(mask: np.ndarray | Sequence[int], m: int, ndim: int = 1) -> np.ndarray:
+    """Check a binary feature mask against a feature count and return it as bools.
+
+    With ``ndim=2`` the input is a batch with one mask per row.
+    """
     arr = np.asarray(mask)
-    if arr.ndim != 1 or arr.shape[0] != m:
-        raise ValueError(f"mask has length {arr.shape}, expected ({m},)")
+    if arr.ndim != ndim or arr.shape[-1] != m:
+        raise ValueError(f"mask has shape {arr.shape}; expected {ndim}-D, last axis {m}")
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("mask entries must be 0 or 1")
     return arr.astype(bool)
@@ -132,28 +191,16 @@ def discretize(real_matrix: np.ndarray, spec: DiscretizationSpec) -> np.ndarray:
     return codes
 
 
-def _entropy_of_codes(codes: np.ndarray) -> float:
-    _, counts = np.unique(codes, return_counts=True)
-    probs = counts / codes.shape[0]
-    return float(-np.sum(probs * np.log2(probs)))
+def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
+    probs = counts / n
+    # np.add.reduce is np.sum without its Python-level dispatch: same bits.
+    return float(-np.add.reduce(probs * np.log2(probs)))
 
 
-def _joint_codes(columns: np.ndarray) -> np.ndarray:
-    """Collapse the rows of an integer matrix into one code per distinct tuple."""
-    n = columns.shape[0]
-    codes = np.zeros(n, dtype=np.int64)
-    radix = 1
-    for j in range(columns.shape[1]):
-        col = columns[:, j]
-        card = int(col.max()) + 1
-        if radix * card >= _CODE_LIMIT:
-            _, codes = np.unique(codes, return_inverse=True)
-            radix = int(codes.max()) + 1
-            if radix * card >= _CODE_LIMIT:
-                raise ValueError("joint state space too large to encode")
-        codes = codes * card + col
-        radix *= card
-    return codes
+def _group_sizes(new_group: np.ndarray) -> np.ndarray:
+    """Run lengths of sorted rows, given where each row after the first starts a group."""
+    starts = np.concatenate((_EDGE, new_group, _EDGE)).nonzero()[0]
+    return starts[1:] - starts[:-1]
 
 
 def entropy(labels: np.ndarray | Sequence[int]) -> float:
@@ -161,7 +208,41 @@ def entropy(labels: np.ndarray | Sequence[int]) -> float:
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("labels must be a non-empty vector")
-    return _entropy_of_codes(arr)
+    _, counts = np.unique(arr, return_counts=True)
+    return _entropy_of_counts(counts, arr.shape[0])
+
+
+def score_mask(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:
+    """:func:`conditional_entropy` of a mask already checked by :func:`validate_mask`.
+
+    The masked columns' bits and the label bits are kept from each packed
+    row, and the rows are sorted once: on a single word as integers, on
+    several as big-endian byte strings, whose order is the lexicographic
+    order of the (masked columns, label) tuples. Adjacent sorted rows that
+    differ in any kept bit start a new (U, y) group, and those that differ
+    in a column bit start a new U group. Both groupings come out in the
+    order ``np.unique`` gives the tuples, so the counts, and the sums over
+    them, are the same as grouping on the tuples directly.
+    """
+    packed = dataset.packed
+    columns = np.zeros(packed.words.shape[1], dtype=np.uint64)
+    selected = np.where(mask, packed.fields, _ZERO)
+    columns[: packed.word_starts.size] = np.bitwise_or.reduceat(selected, packed.word_starts)
+    kept = columns.copy()
+    kept[-1] |= packed.label_field
+    live = kept.nonzero()[0]
+    keys = packed.words[:, live] & kept[live]
+    if live.size == 1:
+        rows = np.sort(keys, axis=0)
+    else:
+        records = keys.astype(">u8", order="C").view(np.dtype((np.void, keys.shape[1] * 8)))
+        rows = np.sort(records, axis=0).view(">u8")
+    step = rows[1:] ^ rows[:-1]
+    # H(y|U) = H(U, y) - H(U), both from empirical joint counts.
+    pair = _entropy_of_counts(_group_sizes(step.any(axis=1)), dataset.n)
+    joint = _entropy_of_counts(_group_sizes((step & columns[live]).any(axis=1)), dataset.n)
+    value = pair - joint
+    return 0.0 if -NEG_CLAMP < value < 0.0 else value
 
 
 def conditional_entropy(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:
@@ -170,14 +251,7 @@ def conditional_entropy(dataset: DiscreteDataset, mask: np.ndarray | Sequence[in
     Rows are grouped on the exact tuple of masked feature values; the empty
     mask reduces to the label entropy.
     """
-    selected = validate_mask(mask, dataset.m)
-    if not selected.any():
-        return entropy(dataset.labels)
-    joint = _joint_codes(dataset.features[:, selected])
-    # H(y|U) = H(U, y) - H(U), both from empirical joint counts.
-    pair = np.column_stack([joint, dataset.labels])
-    value = _entropy_of_codes(_joint_codes(pair)) - _entropy_of_codes(joint)
-    return 0.0 if -NEG_CLAMP < value < 0.0 else value
+    return score_mask(dataset, validate_mask(mask, dataset.m))
 
 
 def mutual_information(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:

@@ -251,6 +251,18 @@ class TestCeRound:
         expected = ce_update(xor_noise_dataset, p, masks, params, 3)
         assert ce_round(xor_noise_dataset, p, params, 3).tolist() == expected.tolist()
 
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            np.array([[1, 0, 2], [0, 1, 1]]),
+            np.ones((2, 2), dtype=np.uint8),
+            np.ones(3, dtype=np.uint8),
+        ],
+    )
+    def test_update_checks_the_mask_batch(self, xor_noise_dataset, masks):
+        with pytest.raises(ValueError, match="mask"):
+            ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=2), 1)
+
     def test_planted_full_relevant_mask_scores_zero(self, planted50):
         mask = np.zeros(50, dtype=np.int64)
         mask[[0, 1, 2, 3]] = 1

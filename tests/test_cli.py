@@ -128,6 +128,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             parse_config(write_config(tmp_path, line + "\n"))
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "planted_rule = foo",
+            "planted_m = 4\nplanted_relevant = 0,9",
+            "planted_relevant = 0,1\nplanted_redundant = 2:5",
+            "planted_modulus = 1",
+            "planted_n = 10",
+        ],
+    )
+    def test_planted_keys_checked_at_parse(self, tmp_path, lines):
+        with pytest.raises(ConfigError, match="invalid value"):
+            parse_config(write_config(tmp_path, lines + "\n"))
+
+    def test_planted_keys_unused_by_csv_dataset(self, tmp_path):
+        path = write_config(tmp_path, "dataset = csv\ncsv_path = d.csv\nplanted_rule = foo\n")
+        assert parse_config(path).planted_rule == "foo"
+
     def test_redundant_map_syntax(self, tmp_path):
         path = write_config(
             tmp_path, "planted_m = 6\nplanted_relevant = 0,1\nplanted_redundant = 4:0,5:1\n"
@@ -175,6 +193,14 @@ class TestRunCommand:
         assert "record_bytes" in capsys.readouterr().err
         assert not (tmp_path / "out" / "selection.csv").exists()
         assert not (tmp_path / "out" / "rounds.csv").exists()
+
+    def test_bad_planted_key_exit_one_before_running(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, BASE_CONFIG + f"planted_rule = foo\nout_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg)]) == 1
+        assert "label_rule" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_round_budget_exhaustion_exit_two(self, tmp_path):
         cfg = write_config(
@@ -308,3 +334,14 @@ class TestGenPlantedCommand:
         assert main(["gen-planted", str(cfg)]) == 0
         ds = load_csv(tmp_path / "out" / "planted.csv")
         assert (ds.n, ds.m) == (64, 4)
+
+    def test_creates_csv_directory(self, tmp_path):
+        target = tmp_path / "data" / "sub" / "planted.csv"
+        cfg = write_config(
+            tmp_path,
+            "planted_m = 4\nplanted_n = 64\nplanted_relevant = 0,1\nseed = 1\n"
+            f"csv_path = {target}\nout_dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["gen-planted", str(cfg)]) == 0
+        assert (load_csv(target).n, load_csv(target).m) == (64, 4)
+        assert not (tmp_path / "out").exists()

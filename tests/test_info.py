@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedfs import info
 from fedfs.info import (
     DiscreteDataset,
     DiscretizationSpec,
@@ -207,6 +208,111 @@ class TestJointCodeOverflow:
         ours = conditional_entropy(ds, np.ones(5, dtype=np.int64))
         ref = oracle_conditional_entropy(features.tolist(), labels.tolist(), [1] * 5)
         assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def mixed_radix_codes(columns: np.ndarray) -> np.ndarray:
+    """One int64 code per distinct row, in row-tuple order (the former estimator's encoding)."""
+    codes = np.zeros(columns.shape[0], dtype=np.int64)
+    radix = 1
+    for j in range(columns.shape[1]):
+        col = columns[:, j]
+        card = int(col.max()) + 1
+        if radix * card >= 2**62:
+            _, codes = np.unique(codes, return_inverse=True)
+            radix = int(codes.max()) + 1
+            assert radix * card < 2**62, "joint state space too large to encode"
+        codes = codes * card + col
+        radix *= card
+    return codes
+
+
+def entropy_of_codes(codes: np.ndarray) -> float:
+    _, counts = np.unique(codes, return_counts=True)
+    probs = counts / codes.shape[0]
+    return float(-np.sum(probs * np.log2(probs)))
+
+
+def mixed_radix_conditional_entropy(ds: DiscreteDataset, mask) -> float:
+    """H(y|U) by mixed-radix row codes and np.unique: the estimator the packed rows replaced."""
+    selected = np.asarray(mask).astype(bool)
+    if not selected.any():
+        return entropy_of_codes(ds.labels)
+    joint = mixed_radix_codes(ds.features[:, selected])
+    pair = np.column_stack([joint, ds.labels])
+    value = entropy_of_codes(mixed_radix_codes(pair)) - entropy_of_codes(joint)
+    return 0.0 if -1e-12 < value < 0.0 else value
+
+
+@st.composite
+def packed_layouts(draw):
+    """Datasets with given column and label bit widths, and the widths' total.
+
+    The total is often 63, 64 or 65 bits, so the label lands at the end of
+    the only word, exactly fills it, or spills into a second; otherwise up
+    to eight columns of up to 41 bits (codes up to 2**40) span several words.
+    """
+    label_width = draw(st.sampled_from([1, 2, 10]))
+    total = draw(st.sampled_from([63, 64, 65, None]))
+    if total is None:
+        widths = draw(st.lists(st.integers(1, 41), min_size=1, max_size=8))
+    else:
+        widths = []
+        while sum(widths) < total - label_width:
+            widths.append(min(draw(st.integers(1, 41)), total - label_width - sum(widths)))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for width in widths + [label_width]:
+        top = 2**width - 1
+        # A few distinct values per column, so rows share groups; the top one
+        # fixes the column's width. Some columns are constant.
+        pool = np.array([top, 0, int(rng.integers(0, top + 1))], dtype=np.int64)
+        distinct = draw(st.integers(1, 3))
+        values = pool[rng.integers(0, distinct, size=n)]
+        values[rng.integers(0, n)] = top
+        columns.append(values)
+    if draw(st.booleans()):
+        # Many-class labels: up to n distinct classes.
+        columns[-1] = rng.integers(0, 2**label_width, size=n)
+        columns[-1][0] = 2**label_width - 1
+    data = np.column_stack(columns)
+    return DiscreteDataset(data[:, :-1], data[:, -1]), sum(widths) + label_width
+
+
+class TestPackedRows:
+    """The packed-row estimator against the mixed-radix one, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_layouts(), st.randoms())
+    def test_bitwise_equal_to_mixed_radix(self, layout, rnd):
+        ds, total = layout
+        masks = [np.zeros(ds.m, dtype=np.uint8), np.ones(ds.m, dtype=np.uint8)]
+        masks += [np.eye(ds.m, dtype=np.uint8)[j] for j in range(ds.m)]
+        masks.append(np.array([rnd.randint(0, 1) for _ in range(ds.m)], dtype=np.uint8))
+        for mask in masks:
+            assert conditional_entropy(ds, mask) == mixed_radix_conditional_entropy(ds, mask)
+        if total <= 65:
+            assert ds.packed.words.shape[1] == (1 if total <= 64 else 2)
+
+    def test_bitwise_equal_on_planted50(self, planted50):
+        rng = np.random.default_rng(8)
+        masks = (rng.random((40, planted50.m)) < rng.random((40, 1))).astype(np.uint8)
+        for mask in masks:
+            expected = mixed_radix_conditional_entropy(planted50, mask)
+            assert conditional_entropy(planted50, mask) == expected
+
+    def test_packed_once_on_first_use(self, monkeypatch):
+        built = []
+        pack = info._pack_rows
+        monkeypatch.setattr(info, "_pack_rows", lambda f, y: built.append(1) or pack(f, y))
+        ds = DiscreteDataset(np.array([[0, 1], [1, 1], [1, 0]]), np.array([0, 1, 1]))
+        assert built == [] and "packed" not in vars(ds)
+        first = conditional_entropy(ds, [1, 0])
+        packed = ds.packed
+        assert conditional_entropy(ds, [1, 0]) == first
+        mutual_information(ds, [0, 1])
+        assert built == [1] and ds.packed is packed
+        assert not packed.words.flags.writeable
 
 
 class TestDatasetValidation:
