@@ -146,11 +146,11 @@ def find_optimal_mask(dataset: DiscreteDataset) -> np.ndarray:
     """
     if dataset.m > 4:
         raise ValueError("exhaustive search supports at most 4 features")
+    codes = np.arange(2**dataset.m)[:, None]
+    candidates = ((codes >> np.arange(dataset.m)) & 1).astype(np.uint8)
     best_value = math.inf
     masks = []
-    for code in range(2**dataset.m):
-        mask = np.array([(code >> i) & 1 for i in range(dataset.m)], dtype=np.uint8)
-        value = evaluate_objective(dataset, mask)
+    for mask, value in zip(candidates, evaluate_objective(dataset, candidates).tolist()):
         if value < best_value - NEG_CLAMP:
             best_value = value
             masks = [mask]

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .info import DiscreteDataset, score_mask, validate_mask
+from .info import DiscreteDataset, score_masks, validate_mask
 
 # Keeps every mask reachable: the frequency update alone can pin a
 # probability to exactly 0 or 1, which freezes exploration.
@@ -90,27 +90,36 @@ def sample_masks(p: np.ndarray, count: int, rng_seed) -> np.ndarray:
     return (rng.random((count, p.shape[0])) < p).astype(np.uint8)
 
 
-def evaluate_objective(dataset: DiscreteDataset, mask: np.ndarray) -> float:
-    """Score a 0/1 mask of length m: H(labels | masked features), unchecked."""
-    return score_mask(dataset, mask)
+def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
+    """Score an (S, m) batch of 0/1 masks: H(labels | masked features) each, unchecked."""
+    return score_masks(dataset, masks)
 
 
 def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
     """Dense ranks of the masks, 0 for the best, on the elite ordering key.
 
     The key is (objective rounded to 1e-12, popcount, BLAKE2b digest of the
-    packed mask bits) ascending. Identical masks share a rank; distinct masks
-    differ in it unless their 64-bit digests collide.
+    packed mask bits, read as a big-endian integer) ascending. Identical
+    masks share a rank; distinct masks differ in it unless their 64-bit
+    digests collide. The masks are sorted once on the key, and a mask's rank
+    counts the key changes before it in that order.
     """
     masks = np.asarray(masks, dtype=np.uint8)
-    counts = masks.sum(axis=1)
-    digests = [
-        hashlib.blake2b(row.tobytes(), digest_size=8).digest()
-        for row in np.packbits(masks, axis=1)
-    ]
-    keys = [(round(float(o), 12), int(c), d) for o, c, d in zip(objectives, counts, digests)]
-    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return np.array([rank_of[key] for key in keys], dtype=np.int64)
+    digests = b"".join(
+        [hashlib.blake2b(row.tobytes(), digest_size=8).digest() for row in np.packbits(masks, axis=1)]
+    )
+    # Python's round, not np.round: that one scales by 1e12 first and can land a step away.
+    rounded = [round(o, 12) for o in np.asarray(objectives, dtype=np.float64).tolist()]
+    big_endian = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    keys = (big_endian, masks.sum(axis=1), np.array(rounded))
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.cumsum(new)
+    return ranks
 
 
 def compute_gamma(objectives: Sequence[float], beta: float) -> float:
@@ -164,17 +173,18 @@ def ce_update(
     """Score already-sampled masks and pull p toward their elite.
 
     Runs check -> score -> rank -> percentile -> update. The (S, m) batch is
-    checked once, so each mask is scored unchecked. The percentile and the
-    elite are taken over :func:`rank_masks` ranks, not raw objectives: the
-    elite is the best ceil((1-beta)*S) masks, plus any copies of the last of
-    them. ``round_index`` only sets alpha under the "schedule" mode.
+    checked once and scored in one :func:`evaluate_objective` call. The
+    percentile and the elite are taken over :func:`rank_masks` ranks, not raw
+    objectives: the elite is the best ceil((1-beta)*S) masks, plus any copies
+    of the last of them. ``round_index`` only sets alpha under the "schedule"
+    mode.
     """
     validate_mask(masks, dataset.m, ndim=2)
     if params.alpha_mode == "schedule":
         alpha = alpha_schedule(round_index, dataset.m)
     else:
         alpha = params.alpha
-    objectives = [evaluate_objective(dataset, mask) for mask in masks]
+    objectives = evaluate_objective(dataset, masks)
     ranks = rank_masks(masks, objectives)
     gamma = compute_gamma(ranks, params.beta)
     return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)

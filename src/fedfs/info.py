@@ -21,7 +21,10 @@ _WORD_BITS = 64
 # 2**0 .. 2**62: the count of these <= v is v.bit_length() for any int64 v >= 0.
 _POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
 _ZERO = np.uint64(0)
-_EDGE = np.ones(1, dtype=bool)
+# Packed words (masks x n x words per row) that one chunk of score_masks
+# sorts at once: at most 128 kB per (chunk, n) temporary, which keeps peak
+# memory flat in S, and one mask per chunk on wide data.
+_CHUNK_WORDS = 2**14
 
 
 @dataclass(frozen=True)
@@ -191,58 +194,108 @@ def discretize(real_matrix: np.ndarray, spec: DiscretizationSpec) -> np.ndarray:
     return codes
 
 
-def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
-    probs = counts / n
-    # np.add.reduce is np.sum without its Python-level dispatch: same bits.
-    return float(-np.add.reduce(probs * np.log2(probs)))
-
-
-def _group_sizes(new_group: np.ndarray) -> np.ndarray:
-    """Run lengths of sorted rows, given where each row after the first starts a group."""
-    starts = np.concatenate((_EDGE, new_group, _EDGE)).nonzero()[0]
-    return starts[1:] - starts[:-1]
-
-
 def entropy(labels: np.ndarray | Sequence[int]) -> float:
     """Plug-in entropy of an integer vector, in bits."""
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("labels must be a non-empty vector")
     _, counts = np.unique(arr, return_counts=True)
-    return _entropy_of_counts(counts, arr.shape[0])
+    probs = counts / arr.shape[0]
+    return float(-np.add.reduce(probs * np.log2(probs)))
 
 
-def score_mask(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:
-    """:func:`conditional_entropy` of a mask already checked by :func:`validate_mask`.
+def _group_starts(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
+    """(2, S, n) flags: where each mask's sorted rows begin a (U, y) group, and a U group.
 
-    The masked columns' bits and the label bits are kept from each packed
-    row, and the rows are sorted once: on a single word as integers, on
-    several as big-endian byte strings, whose order is the lexicographic
+    The label takes the low bits of the last word, so masking that word to
+    its column bits leaves what the U groups compare.
+    """
+    count, (n, width) = masks.shape[0], packed.words.shape
+    # Each mask's selected column bits, per word.
+    columns = np.zeros((count, width), dtype=np.uint64)
+    selected = np.where(masks, packed.fields, _ZERO)
+    columns[:, : packed.word_starts.size] = np.bitwise_or.reduceat(
+        selected, packed.word_starts, axis=1
+    )
+    kept = columns.copy()
+    kept[:, -1] |= packed.label_field
+    live = kept.any(axis=0).nonzero()[0]
+    starts = np.empty((2, count, n), dtype=bool)
+    starts[:, :, 0] = True
+    if live.size == 1:
+        rows = packed.words[:, live[0]] & kept[:, live]
+        rows.sort(axis=1)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[0, :, 1:])
+        rows &= columns[:, -1:]
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[1, :, 1:])
+        return starts
+    words = packed.words if live.size == width else packed.words[:, live]
+    keys = (words & kept[:, None, live]).astype(">u8", order="C")
+    # Read the sorted big-endian words back as native ones: XOR and AND
+    # work bytewise, so which results are zero does not change.
+    rows = np.sort(keys.view(np.dtype((np.void, live.size * 8))), axis=1).view(np.uint64)
+    step = rows[:, 1:] ^ rows[:, :-1]
+    tail = step[..., -1]
+    np.not_equal(tail, 0, out=starts[0, :, 1:])
+    tail &= columns[:, -1:].astype(">u8").view(np.uint64)
+    np.not_equal(tail, 0, out=starts[1, :, 1:])
+    starts[:, :, 1:] |= step[..., :-1].any(axis=2)
+    return starts
+
+
+def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
+    """H(y|U) = H(U, y) - H(U) for each mask, from :func:`_group_starts` flags.
+
+    A group of c of the n rows adds ``terms_of[c]`` = (c/n) log2(c/n) to -H.
+    Each mask's two entropies are each one ``np.add.reduce`` over that
+    grouping's terms, as for a lone vector of counts, so the bits do not
+    depend on how many masks share a chunk. Every U group start is a (U, y)
+    group start, so equal group counts mean equal groupings and H(y|U) = 0:
+    those masks are not summed.
+    """
+    count, n = starts.shape[1:]
+    values = np.zeros(count)
+    groups = np.count_nonzero(starts, axis=2)
+    split = np.flatnonzero(groups[0] != groups[1])
+    if not split.size:
+        return values
+    # The split masks' blocks back to back, and a closing start.
+    flags = np.append(starts[:, split], True)
+    terms = terms_of[np.diff(np.flatnonzero(flags))]
+    bounds = np.concatenate(([0], np.cumsum(groups[:, split]))).tolist()
+    for j, r in enumerate(split.tolist()):
+        pair = -np.add.reduce(terms[bounds[j] : bounds[j + 1]])
+        joint = -np.add.reduce(terms[bounds[split.size + j] : bounds[split.size + j + 1]])
+        value = pair - joint
+        values[r] = 0.0 if -NEG_CLAMP < value < 0.0 else value
+    return values
+
+
+def score_masks(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
+    """:func:`conditional_entropy` of each row of an (S, m) batch of masks, unchecked.
+
+    The caller checks the batch, as with ``validate_mask(masks, m, ndim=2)``.
+
+    Each mask keeps the masked columns' bits and the label bits of every
+    packed row, and a mask's rows are sorted: on a single word as integers,
+    on several as big-endian byte strings, whose order is the lexicographic
     order of the (masked columns, label) tuples. Adjacent sorted rows that
     differ in any kept bit start a new (U, y) group, and those that differ
     in a column bit start a new U group. Both groupings come out in the
     order ``np.unique`` gives the tuples, so the counts, and the sums over
     them, are the same as grouping on the tuples directly.
+
+    Masks are scored in chunks of at most ``_CHUNK_WORDS`` packed words,
+    one (chunk, n) sort per chunk, so the temporaries stay small whatever S.
     """
     packed = dataset.packed
-    columns = np.zeros(packed.words.shape[1], dtype=np.uint64)
-    selected = np.where(mask, packed.fields, _ZERO)
-    columns[: packed.word_starts.size] = np.bitwise_or.reduceat(selected, packed.word_starts)
-    kept = columns.copy()
-    kept[-1] |= packed.label_field
-    live = kept.nonzero()[0]
-    keys = packed.words[:, live] & kept[live]
-    if live.size == 1:
-        rows = np.sort(keys, axis=0)
-    else:
-        records = keys.astype(">u8", order="C").view(np.dtype((np.void, keys.shape[1] * 8)))
-        rows = np.sort(records, axis=0).view(">u8")
-    step = rows[1:] ^ rows[:-1]
-    # H(y|U) = H(U, y) - H(U), both from empirical joint counts.
-    pair = _entropy_of_counts(_group_sizes(step.any(axis=1)), dataset.n)
-    joint = _entropy_of_counts(_group_sizes((step & columns[live]).any(axis=1)), dataset.n)
-    value = pair - joint
-    return 0.0 if -NEG_CLAMP < value < 0.0 else value
+    masks = np.asarray(masks, dtype=bool)
+    probs = np.arange(1, dataset.n + 1) / dataset.n
+    terms_of = np.concatenate(([0.0], probs * np.log2(probs)))
+    chunk = max(1, _CHUNK_WORDS // packed.words.size)
+    # A generator, so only one chunk's flags are alive at a time.
+    starts = (_group_starts(packed, masks[i : i + chunk]) for i in range(0, masks.shape[0], chunk))
+    return np.concatenate([_entropy_gaps(flags, terms_of) for flags in starts])
 
 
 def conditional_entropy(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:
@@ -251,7 +304,7 @@ def conditional_entropy(dataset: DiscreteDataset, mask: np.ndarray | Sequence[in
     Rows are grouped on the exact tuple of masked feature values; the empty
     mask reduces to the label entropy.
     """
-    return score_mask(dataset, validate_mask(mask, dataset.m))
+    return float(score_masks(dataset, validate_mask(mask, dataset.m)[None])[0])
 
 
 def mutual_information(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedfs.ce import (
     CEParams,
@@ -154,7 +156,35 @@ def hand_rolled_elite(masks, objectives, beta, key):
     return [i for i, r in enumerate(ranks) if r <= gamma]
 
 
+def tuple_dict_ranks(masks, objectives):
+    """Dense ranks through a sorted set of key tuples and a dict: the rank the numpy sort replaced."""
+    keys = [elite_key(m, float(o)) for m, o in zip(masks, objectives)]
+    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [rank_of[key] for key in keys]
+
+
+@st.composite
+def ranked_batches(draw):
+    """Masks with repeats, and objectives with exact ties and ties within 1e-14."""
+    m = draw(st.integers(1, 20))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 1.5, 2.0**-40]), min_size=1, max_size=4))
+    objectives = [
+        draw(st.sampled_from(levels)) + draw(st.sampled_from([0.0, 0.0, 1e-14, -1e-14, 3e-13]))
+        for _ in picks
+    ]
+    return np.array([pool[i] for i in picks], dtype=np.uint8), objectives
+
+
 class TestRankMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_batches())
+    def test_equal_to_tuple_dict_ranks(self, batch):
+        masks, objectives = batch
+        assert rank_masks(masks, objectives).tolist() == tuple_dict_ranks(masks, objectives)
+        assert rank_masks(masks, np.array(objectives)).tolist() == tuple_dict_ranks(masks, objectives)
+
     def test_objective_then_popcount_then_digest(self):
         masks = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 0], [0, 1, 0], [1, 0, 0]])
         objectives = [0.0, 0.0, 0.0, 1.5, 0.0, 0.0]
@@ -223,14 +253,9 @@ class TestCeRound:
     def test_best_objective_non_increasing_when_chained(self, xor_noise_dataset):
         params = CEParams(sample_count=60, beta=0.9, alpha=0.7, rng_seed=21)
         p1 = ce_round(xor_noise_dataset, uniform_probs(3), params, round_index=1)
-        best1 = min(
-            evaluate_objective(xor_noise_dataset, m)
-            for m in sample_masks(uniform_probs(3), 60, [21, 1])
-        )
-        best2 = min(
-            evaluate_objective(xor_noise_dataset, m)
-            for m in sample_masks(p1, 60, [21, 2])
-        )
+        first = sample_masks(uniform_probs(3), 60, [21, 1])
+        best1 = evaluate_objective(xor_noise_dataset, first).min()
+        best2 = evaluate_objective(xor_noise_dataset, sample_masks(p1, 60, [21, 2])).min()
         assert best2 <= best1 + 1e-12
 
     def test_schedule_mode_uses_small_alpha(self, xor_noise_dataset):
@@ -266,7 +291,7 @@ class TestCeRound:
     def test_planted_full_relevant_mask_scores_zero(self, planted50):
         mask = np.zeros(50, dtype=np.int64)
         mask[[0, 1, 2, 3]] = 1
-        assert evaluate_objective(planted50, mask) <= 1e-12
+        assert evaluate_objective(planted50, mask[None])[0] <= 1e-12
 
 
 class TestSelectFeatures:

@@ -1,7 +1,9 @@
 """Entropy estimators checked against worked examples and a brute-force oracle."""
 
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfs import info
+from fedfs.ce import evaluate_objective
 from fedfs.info import (
     DiscreteDataset,
     DiscretizationSpec,
@@ -313,6 +316,48 @@ class TestPackedRows:
         mutual_information(ds, [0, 1])
         assert built == [1] and ds.packed is packed
         assert not packed.words.flags.writeable
+
+
+class TestBatchScoring:
+    """One batch call scores each mask as a lone call does, however the batch is chunked."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_layouts(), st.integers(1, 4), st.integers(0, 3), st.randoms())
+    def test_batch_equals_single_calls(self, layout, per_chunk, extra, rnd):
+        ds, _ = layout
+        count = 3 * per_chunk + extra
+        rows = [[0] * ds.m, [1] * ds.m]
+        rows += [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(count - 2)]
+        rnd.shuffle(rows)
+        masks = np.array(rows, dtype=np.uint8)
+        singles = [conditional_entropy(ds, mask) for mask in masks]
+        # A budget of per_chunk masks, so the batch spans at least 3 chunks.
+        with mock.patch.object(info, "_CHUNK_WORDS", per_chunk * ds.packed.words.size):
+            assert evaluate_objective(ds, masks).tolist() == singles
+            assert evaluate_objective(ds, masks[:1]).tolist() == singles[:1]
+        assert evaluate_objective(ds, masks).tolist() == singles
+
+    def test_single_row(self):
+        ds = DiscreteDataset(np.array([[2**62, 3, 1]]), np.array([1]))
+        masks = np.array([[0, 0, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
+        assert ds.packed.words.shape == (1, 2)
+        assert evaluate_objective(ds, masks).tolist() == [0.0, 0.0, 0.0]
+
+    def test_peak_memory_stays_chunked(self, planted50):
+        # 1000 masks of n = 4096 one-word rows: unchunked, each (S, n) uint64
+        # temporary alone would take 32 MB. The bound is about 1.5x the peak
+        # at the current chunk budget; twice that budget exceeds it.
+        rng = np.random.default_rng(3)
+        density = rng.choice([0.1, 0.2, 0.5], (1000, 1))
+        masks = (rng.random((1000, planted50.m)) < density).astype(np.uint8)
+        evaluate_objective(planted50, masks[:1])
+        tracemalloc.start()
+        try:
+            evaluate_objective(planted50, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 750_000
 
 
 class TestDatasetValidation:
