@@ -99,27 +99,18 @@ def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
     """Dense ranks of the masks, 0 for the best, on the elite ordering key.
 
     The key is (objective rounded to 1e-12, popcount, BLAKE2b digest of the
-    packed mask bits, read as a big-endian integer) ascending. Identical
-    masks share a rank; distinct masks differ in it unless their 64-bit
-    digests collide. The masks are sorted once on the key, and a mask's rank
-    counts the key changes before it in that order.
+    packed mask bits) ascending. Identical masks share a rank; distinct masks
+    differ in it unless their 64-bit digests collide.
     """
     masks = np.asarray(masks, dtype=np.uint8)
-    digests = b"".join(
-        [hashlib.blake2b(row.tobytes(), digest_size=8).digest() for row in np.packbits(masks, axis=1)]
-    )
-    # Python's round, not np.round: that one scales by 1e12 first and can land a step away.
-    rounded = [round(o, 12) for o in np.asarray(objectives, dtype=np.float64).tolist()]
-    big_endian = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-    keys = (big_endian, masks.sum(axis=1), np.array(rounded))
-    order = np.lexsort(keys)
-    new = np.zeros(order.size, dtype=bool)
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    ranks = np.empty(order.size, dtype=np.int64)
-    ranks[order] = np.cumsum(new)
-    return ranks
+    counts = masks.sum(axis=1)
+    digests = [
+        hashlib.blake2b(row.tobytes(), digest_size=8).digest()
+        for row in np.packbits(masks, axis=1)
+    ]
+    keys = [(round(float(o), 12), int(c), d) for o, c, d in zip(objectives, counts, digests)]
+    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return np.array([rank_of[key] for key in keys], dtype=np.int64)
 
 
 def compute_gamma(objectives: Sequence[float], beta: float) -> float:

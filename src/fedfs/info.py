@@ -22,8 +22,9 @@ _WORD_BITS = 64
 _POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
 _ZERO = np.uint64(0)
 # Packed words (masks x n x words per row) that one chunk of score_masks
-# sorts at once: at most 128 kB per (chunk, n) temporary, which keeps peak
-# memory flat in S, and one mask per chunk on wide data.
+# sorts at once: 2**14 words or one mask, whichever is larger, so peak
+# memory stays flat in S. Wide data (mav: 727 x 34 words) gets one mask per
+# chunk, whose temporaries each exceed the budget.
 _CHUNK_WORDS = 2**14
 
 
@@ -285,8 +286,9 @@ def score_masks(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
     order ``np.unique`` gives the tuples, so the counts, and the sums over
     them, are the same as grouping on the tuples directly.
 
-    Masks are scored in chunks of at most ``_CHUNK_WORDS`` packed words,
-    one (chunk, n) sort per chunk, so the temporaries stay small whatever S.
+    Masks are scored in chunks of ``_CHUNK_WORDS`` packed words or one mask,
+    whichever is larger, one (chunk, n) sort per chunk, so the temporaries
+    do not grow with S.
     """
     packed = dataset.packed
     masks = np.asarray(masks, dtype=bool)

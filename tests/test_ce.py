@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedfs.ce import (
     CEParams,
@@ -156,35 +154,7 @@ def hand_rolled_elite(masks, objectives, beta, key):
     return [i for i, r in enumerate(ranks) if r <= gamma]
 
 
-def tuple_dict_ranks(masks, objectives):
-    """Dense ranks through a sorted set of key tuples and a dict: the rank the numpy sort replaced."""
-    keys = [elite_key(m, float(o)) for m, o in zip(masks, objectives)]
-    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [rank_of[key] for key in keys]
-
-
-@st.composite
-def ranked_batches(draw):
-    """Masks with repeats, and objectives with exact ties and ties within 1e-14."""
-    m = draw(st.integers(1, 20))
-    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=6))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    levels = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 1.5, 2.0**-40]), min_size=1, max_size=4))
-    objectives = [
-        draw(st.sampled_from(levels)) + draw(st.sampled_from([0.0, 0.0, 1e-14, -1e-14, 3e-13]))
-        for _ in picks
-    ]
-    return np.array([pool[i] for i in picks], dtype=np.uint8), objectives
-
-
 class TestRankMasks:
-    @settings(max_examples=300, deadline=None)
-    @given(ranked_batches())
-    def test_equal_to_tuple_dict_ranks(self, batch):
-        masks, objectives = batch
-        assert rank_masks(masks, objectives).tolist() == tuple_dict_ranks(masks, objectives)
-        assert rank_masks(masks, np.array(objectives)).tolist() == tuple_dict_ranks(masks, objectives)
-
     def test_objective_then_popcount_then_digest(self):
         masks = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 0], [0, 1, 0], [1, 0, 0]])
         objectives = [0.0, 0.0, 0.0, 1.5, 0.0, 0.0]
