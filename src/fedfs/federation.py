@@ -2,11 +2,11 @@
 
 A server holds a global Bernoulli probability vector over features. Each
 synchronous round every non-faulty client runs one local cross-entropy round
-from that vector on its private partition and sends back its updated vector
-as a sparse message; clients keep no state between rounds. The server
-aggregates the replies weighted by local dataset size and stops when
-successive global vectors pass a two-sample Kolmogorov-Smirnov stability
-check.
+from that vector on its private partition and replies with the bytes of a
+sparse message; clients keep no state between rounds. The server decodes the
+bytes it counts, drops a malformed reply, averages the float32 values of the
+rest weighted by local dataset size, and stops when successive global
+vectors pass a two-sample Kolmogorov-Smirnov stability check.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class ClientState:
     def __post_init__(self) -> None:
         if self.dataset.n < 1:
             raise ValueError("client partition must be non-empty")
-        if self.draw_size is not None and self.draw_size < 1:
-            raise ValueError("draw_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ class UpdateMessage:
             raise ProtocolError(f"expected {z} float32 values, got {len(payload)} bytes")
         if m % 8 and bitmap[-1] >> (m % 8):
             raise ProtocolError(f"bitmap marks positions beyond m={m}")
-        probs = struct.unpack(f"<{z}f", payload)
-        return cls(client_id, sample_count, tuple(probs), bitmap)
+        return cls(client_id, sample_count, struct.unpack(f"<{z}f", payload), bitmap)
 
 
 def encode_message(
@@ -159,8 +156,8 @@ def client_round(
     p_global: np.ndarray,
     params: CEParams,
     round_index: int,
-) -> UpdateMessage:
-    """One local round from the global vector on local data; returns the reply.
+) -> bytes:
+    """One local round from the global vector on local data; returns the wire reply.
 
     Pure: the client is not modified. If ``draw_size`` is set, the client
     draws that many rows with replacement from its partition and optimizes
@@ -177,7 +174,7 @@ def client_round(
         data = DiscreteDataset(data.features[rows], data.labels[rows], data.feature_names)
     local_params = replace(params, rng_seed=derive_seed(params.rng_seed, client.rng_seed))
     p_new = ce_round(data, p_global, local_params, round_index)
-    return encode_message(client.client_id, p_new, client.dataset.n, params.clamp_eps)
+    return encode_message(client.client_id, p_new, client.dataset.n, params.clamp_eps).to_bytes()
 
 
 def aggregate(messages: Sequence[UpdateMessage], m: int) -> np.ndarray:
@@ -206,8 +203,6 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
     cdf_a = np.searchsorted(a, support, side="right") / a.size
     cdf_b = np.searchsorted(b, support, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
-    if d == 0.0:
-        return 1.0
     ne = a.size * b.size / (a.size + b.size)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
     if lam < 1e-3:
@@ -255,6 +250,7 @@ class RoundRecord:
     bytes_sent: int
     overhead_units: int
     draw_sizes: dict[int, int] = field(default_factory=dict)
+    rejected: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -289,14 +285,13 @@ def run_federation(
     """Drive the full server loop until KS convergence or the round budget.
 
     Every round each non-faulty client runs one local round from the current
-    global vector; faulty clients send nothing that round and rejoin from the
-    global vector of a later one. A round with no messages carries the
-    global vector over unchanged but still counts.
+    global vector; faulty clients send nothing and rejoin in a later round.
+    The server averages the float32 values it decodes from the reply bytes it
+    counts, leaving out (and listing in ``rejected``) a reply that raises
+    ``ProtocolError``; a round with nothing to average keeps the vector.
     """
     if not clients:
         raise ValueError("need at least one client")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
     m = clients[0].dataset.m
     for client in clients:
         if client.dataset.m != m:
@@ -304,7 +299,6 @@ def run_federation(
 
     p_global = uniform_probs(m)
     v = 0.0
-    v_old = 0.0
     rounds: list[RoundRecord] = []
     converged = False
 
@@ -312,7 +306,13 @@ def run_federation(
         participants = [
             c for c in clients if fault is None or not fault.is_faulty(c.client_id, r)
         ]
-        messages = [client_round(c, p_global, params, r) for c in participants]
+        replies = [client_round(c, p_global, params, r) for c in participants]
+        messages, rejected = [], []
+        for c, raw in zip(participants, replies):
+            try:
+                messages.append(UpdateMessage.from_bytes(raw, m))
+            except ProtocolError:
+                rejected.append(c.client_id)
 
         p_old = p_global
         if messages:
@@ -325,12 +325,13 @@ def run_federation(
                 participants=[c.client_id for c in participants],
                 p_global=p_global.copy(),
                 p_value=v,
-                bytes_sent=sum(len(msg.to_bytes()) for msg in messages),
+                bytes_sent=sum(len(raw) for raw in replies),
                 overhead_units=sum(message_overhead_units(msg, m) for msg in messages),
                 draw_sizes={
                     c.client_id: (c.draw_size if c.draw_size is not None else c.dataset.n)
                     for c in participants
                 },
+                rejected=rejected,
             )
         )
         if check_convergence(v, v_old, tau1, tau2):

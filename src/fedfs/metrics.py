@@ -18,10 +18,9 @@ class OverheadInputs:
     clients: int
     nonzero_count: int
     bitmap_units: int
-    unit_bytes: int = UNIT_BYTES
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "clients", "nonzero_count", "bitmap_units", "unit_bytes"):
+        for name in ("rounds", "clients", "nonzero_count", "bitmap_units"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -58,7 +57,7 @@ def compression_ratio(summary: SelectionSummary) -> float:
 def network_overhead(inputs: OverheadInputs) -> dict[str, int]:
     """Total control traffic: R*L*2*(z+1+b) scalar units, and the byte view."""
     units = inputs.rounds * inputs.clients * exchange_units(inputs.nonzero_count, inputs.bitmap_units)
-    return {"units": units, "bytes": units * inputs.unit_bytes}
+    return {"units": units, "bytes": units * UNIT_BYTES}
 
 
 def cache_accumulate(report: FederationReport, record_bytes: int) -> dict[int, int]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedfs.federation as federation
-from fedfs.ce import CEParams, ce_round, uniform_probs
+from fedfs.ce import CEParams, ce_round, clamp_probs, uniform_probs
 from fedfs.datasets import PlantedSpec, generate_planted, partition_iid
 from fedfs.federation import (
     ClientState,
@@ -253,7 +253,8 @@ class TestClientRound:
     def test_full_data_reduces_to_plain_round(self, tiny_planted):
         params = CEParams(sample_count=30, rng_seed=9)
         client = ClientState(0, tiny_planted, rng_seed=4)
-        msg = client_round(client, uniform_probs(4), params, round_index=1)
+        raw = client_round(client, uniform_probs(4), params, round_index=1)
+        msg = UpdateMessage.from_bytes(raw, 4)
         expected = ce_round(
             tiny_planted,
             uniform_probs(4),
@@ -265,7 +266,8 @@ class TestClientRound:
 
     def test_draw_size_reports_full_partition(self, tiny_planted):
         client = ClientState(0, tiny_planted, rng_seed=4, draw_size=32)
-        msg = client_round(client, uniform_probs(4), CEParams(sample_count=10), 1)
+        raw = client_round(client, uniform_probs(4), CEParams(sample_count=10), 1)
+        msg = UpdateMessage.from_bytes(raw, 4)
         assert msg.sample_count == 256
 
     def test_feature_count_mismatch(self, tiny_planted):
@@ -277,8 +279,8 @@ class TestClientRound:
         params = CEParams(sample_count=30, rng_seed=9)
         a = ClientState(0, tiny_planted, rng_seed=4)
         b = ClientState(1, tiny_planted, rng_seed=4)
-        msg_a = client_round(a, uniform_probs(4), params, 1)
-        msg_b = client_round(b, uniform_probs(4), params, 1)
+        msg_a = UpdateMessage.from_bytes(client_round(a, uniform_probs(4), params, 1), 4)
+        msg_b = UpdateMessage.from_bytes(client_round(b, uniform_probs(4), params, 1), 4)
         assert msg_a.nonzero_probs == msg_b.nonzero_probs
 
 
@@ -308,7 +310,7 @@ class TestRunFederation:
         # A client whose reply never moves leaves the global vector at a fixed
         # point; the KS test of identical vectors is 1 on consecutive rounds.
         def stub(client, p_global, params, round_index):
-            return encode_message(client.client_id, p_global, client.dataset.n)
+            return encode_message(client.client_id, p_global, client.dataset.n).to_bytes()
 
         monkeypatch.setattr(federation, "client_round", stub)
         report = run_federation([ClientState(0, tiny_planted)], CEParams(sample_count=10))
@@ -383,7 +385,8 @@ class TestRunFederation:
 
         # Recompute the aggregate from scratch using only the participants.
         fresh = [ClientState(i, parts[i], rng_seed=i) for i in expected_participants]
-        messages = [client_round(c, uniform_probs(4), params, 1) for c in fresh]
+        replies = [client_round(c, uniform_probs(4), params, 1) for c in fresh]
+        messages = [UpdateMessage.from_bytes(raw, 4) for raw in replies]
         expected = np.clip(aggregate(messages, 4), 1e-6, 1 - 1e-6)
         assert np.allclose(record.p_global, expected)
 
@@ -401,7 +404,7 @@ class TestRunFederation:
         report = run_federation(clients, params, fault=FaultyOneInRoundOne(), max_rounds=2)
         assert [r.participants for r in report.rounds] == [[0], [0, 1]]
         p1 = report.rounds[0].p_global
-        messages = [client_round(c, p1, params, 2) for c in clients]
+        messages = [UpdateMessage.from_bytes(client_round(c, p1, params, 2), 4) for c in clients]
         expected = np.clip(aggregate(messages, 4), 1e-6, 1 - 1e-6)
         assert np.array_equal(report.rounds[1].p_global, expected)
 
@@ -467,6 +470,92 @@ class TestRunFederation:
         assert record.draw_sizes == {0: 32, 1: 32}
         # Every message carries a ceil(2166/8)-byte bitmap = 68 words.
         assert record.overhead_units >= 2 * 2 * (1 + 68)
+
+
+def truncated(raw):
+    return raw[:-1]
+
+
+def bit_beyond_m(raw):
+    # At m = 4 the bitmap is the one byte after the 16-byte header; bit 4
+    # lies in its padding.
+    return raw[:16] + bytes([raw[16] | 0b10000]) + raw[17:]
+
+
+class TestWirePath:
+    """The server decodes, checks and averages exactly the bytes it counts."""
+
+    @pytest.fixture
+    def two_clients(self, tiny_planted):
+        parts = partition_iid(tiny_planted, 2, rng_seed=1)
+        return [ClientState(i, parts[i], rng_seed=i) for i in range(2)]
+
+    @staticmethod
+    def spy_replies(monkeypatch, corrupt=lambda client_id, raw: raw):
+        """Pass every reply through ``corrupt``; returns the bytes sent, by round."""
+        real = federation.client_round
+        sent = {}
+
+        def stub(client, p_global, params, round_index):
+            raw = corrupt(client.client_id, real(client, p_global, params, round_index))
+            sent.setdefault(round_index, []).append(raw)
+            return raw
+
+        monkeypatch.setattr(federation, "client_round", stub)
+        return sent
+
+    def test_bytes_sent_is_the_length_of_the_replies(self, two_clients, monkeypatch):
+        sent = self.spy_replies(monkeypatch)
+        report = run_federation(two_clients, CEParams(sample_count=20), max_rounds=3)
+        assert report.total_rounds == 3
+        for record in report.rounds:
+            assert record.bytes_sent == sum(len(raw) for raw in sent[record.round_index])
+            assert record.rejected == []
+        assert report.total_bytes == sum(len(raw) for raws in sent.values() for raw in raws)
+
+    def test_aggregate_averages_the_decoded_replies(self, two_clients, monkeypatch):
+        sent = self.spy_replies(monkeypatch)
+        averaged = []
+        real_aggregate = federation.aggregate
+
+        def spy_aggregate(messages, m):
+            averaged.append(list(messages))
+            return real_aggregate(messages, m)
+
+        monkeypatch.setattr(federation, "aggregate", spy_aggregate)
+        report = run_federation(two_clients, CEParams(sample_count=20), max_rounds=3)
+        assert averaged == [
+            [UpdateMessage.from_bytes(raw, 4) for raw in sent[r.round_index]] for r in report.rounds
+        ]
+        # Every averaged value is a float32 value, as the wire carries it.
+        values = [v for msgs in averaged for msg in msgs for v in msg.nonzero_probs]
+        assert values and all(float(np.float32(v)) == v for v in values)
+
+    @pytest.mark.parametrize("corrupt", [truncated, bit_beyond_m])
+    def test_malformed_reply_is_rejected(self, two_clients, monkeypatch, corrupt):
+        sent = self.spy_replies(monkeypatch, lambda cid, raw: corrupt(raw) if cid == 1 else raw)
+        params = CEParams(sample_count=20)
+        report = run_federation(two_clients, params, max_rounds=1)
+        record = report.rounds[0]
+        good, bad = sent[1]
+        with pytest.raises(ProtocolError):
+            UpdateMessage.from_bytes(bad, 4)
+        assert record.participants == [0, 1]
+        assert record.rejected == [1]
+        assert record.bytes_sent == len(good) + len(bad)
+        expected = clamp_probs(aggregate([UpdateMessage.from_bytes(good, 4)], 4), params.clamp_eps)
+        assert np.array_equal(record.p_global, expected)
+
+    def test_all_rejected_round_carries_vector_over(self, two_clients, monkeypatch):
+        sent = self.spy_replies(monkeypatch, lambda cid, raw: truncated(raw))
+        report = run_federation(two_clients, CEParams(sample_count=20), max_rounds=3)
+        # As in an all-faulty round the vector stays put, so the KS rule
+        # stops the run at round 2; the rejected bytes still count.
+        assert report.total_rounds == 2
+        assert report.converged
+        assert [r.rejected for r in report.rounds] == [[0, 1], [0, 1]]
+        assert np.array_equal(report.final_p, uniform_probs(4))
+        assert report.total_bytes == sum(len(raw) for raws in sent.values() for raw in raws) > 0
 
 
 class TestDeriveSeed:
