@@ -9,7 +9,6 @@ Kolmogorov-Smirnov stability test declares convergence.
 
 from .info import (
     DiscreteDataset,
-    DiscretizationSpec,
     conditional_entropy,
     discretize,
     entropy,
@@ -47,12 +46,7 @@ from .metrics import (
     compression_ratio,
     network_overhead,
 )
-from .bounds import (
-    BoundInputs,
-    centralized_miss_bound,
-    federated_miss_bound,
-    monte_carlo_miss_rate,
-)
+from .bounds import BoundInputs, centralized_miss_bound, federated_miss_bound
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

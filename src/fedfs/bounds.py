@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ce import CEParams, alpha_schedule, ce_update, evaluate_objective, sample_masks, uniform_probs
-from .info import DiscreteDataset, NEG_CLAMP
+from .ce import CEParams, alpha_schedule, ce_update, sample_masks, uniform_probs
+from .info import NEG_CLAMP, DiscreteDataset, evaluate_objective
 
 
 @dataclass(frozen=True)
@@ -183,34 +183,17 @@ def miss_rate_curve(
         raise ValueError("need at least 100 trials for a meaningful rate")
     optimum = find_optimal_mask(dataset)
     init = uniform_probs(dataset.m) if p0 is None else np.asarray(p0, dtype=np.float64)
-    misses = np.zeros(t_max, dtype=np.int64)
+    # The round each trial first hits; t_max + 1 if it never does.
+    hit_rounds = np.full(trials, t_max + 1)
     for s in range(trials):
         p = init
-        hit_round = None
         for t in range(1, t_max + 1):
             masks = sample_masks(p, params.sample_count, [params.rng_seed, s, t])
             if np.any(np.all(masks == optimum, axis=1)):
-                hit_round = t
+                hit_rounds[s] = t
                 break
             if t < t_max:
                 p = ce_update(dataset, p, masks, params, t)
-        for t in range(1, t_max + 1):
-            if hit_round is None or hit_round > t:
-                misses[t - 1] += 1
+    misses = np.count_nonzero(hit_rounds > np.arange(1, t_max + 1)[:, None], axis=1)
     return [float(c) / trials for c in misses]
 
-
-def monte_carlo_miss_rate(
-    dataset: DiscreteDataset,
-    params: CEParams,
-    t_prime: int,
-    trials: int,
-    p0: Optional[np.ndarray] = None,
-) -> float:
-    """Fraction of seeded runs in which no sample up to t' hits the optimum.
-
-    A zero horizon draws nothing, so the miss rate is 1 by convention.
-    """
-    if t_prime == 0:
-        return 1.0
-    return miss_rate_curve(dataset, params, t_prime, trials, p0)[t_prime - 1]

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .info import DiscreteDataset, score_masks, validate_mask
+from .info import DiscreteDataset, evaluate_objective, validate_mask
 
 # Keeps every mask reachable: the frequency update alone can pin a
 # probability to exactly 0 or 1, which freezes exploration.
@@ -88,11 +88,6 @@ def sample_masks(p: np.ndarray, count: int, rng_seed) -> np.ndarray:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(rng_seed)
     return (rng.random((count, p.shape[0])) < p).astype(np.uint8)
-
-
-def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
-    """Score an (S, m) batch of 0/1 masks: H(labels | masked features) each, unchecked."""
-    return score_masks(dataset, masks)
 
 
 def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:

@@ -18,7 +18,7 @@ from .ce import select_features
 from .config import ExperimentConfig, parse_config
 from .datasets import generate_planted, load_csv, partition_iid, save_csv
 from .federation import UNIT_BYTES, ClientState, FaultModel, derive_seed, run_federation
-from .info import DiscreteDataset, DiscretizationSpec
+from .info import DiscreteDataset
 from .metrics import SelectionSummary, cache_accumulate, compression_ratio
 from .plots import line_curve_svg, probability_bars_svg
 
@@ -36,7 +36,7 @@ _DOMAIN_FAULT = 103
 def _build_dataset(config: ExperimentConfig) -> DiscreteDataset:
     if config.dataset == "csv":
         assert config.csv_path is not None
-        return load_csv(config.csv_path, config.label_column, DiscretizationSpec(config.bins))
+        return load_csv(config.csv_path, config.label_column, config.bins)
     return generate_planted(config.planted_spec())
 
 

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .info import DiscreteDataset, DiscretizationSpec, discretize
+from .info import DiscreteDataset, discretize
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,9 @@ def partition_iid(dataset: DiscreteDataset, count: int, rng_seed: int = 0) -> li
 def load_csv(
     path: str | Path,
     label_column: str = "label",
-    spec: DiscretizationSpec | None = None,
+    bins: int = 10,
 ) -> DiscreteDataset:
-    """Read a headered CSV into a dataset, discretizing the feature columns.
+    """Read a headered CSV into a dataset, each feature column cut into ``bins`` bins.
 
     Cells must be numeric; labels are taken as integers. Errors name the
     offending row and column.
@@ -165,7 +165,7 @@ def load_csv(
         raise ValueError(f"{path}: label column must hold non-negative integers")
     feature_cols = [i for i in range(len(header)) if i != label_idx]
     names = tuple(header[i] for i in feature_cols)
-    codes = discretize(matrix[:, feature_cols], spec or DiscretizationSpec())
+    codes = discretize(matrix[:, feature_cols], bins)
     return DiscreteDataset(codes, labels.astype(np.int64), names)
 
 

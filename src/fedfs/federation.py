@@ -4,9 +4,9 @@ A server holds a global Bernoulli probability vector over features. Each
 synchronous round every non-faulty client runs one local cross-entropy round
 from that vector on its private partition and replies with the bytes of a
 sparse message; clients keep no state between rounds. The server decodes the
-bytes it counts, drops a malformed reply, averages the float32 values of the
-rest weighted by local dataset size, and stops when successive global
-vectors pass a two-sample Kolmogorov-Smirnov stability check.
+bytes it counts, drops a malformed reply or one naming another sender,
+averages the rest's float32 values weighted by local dataset size, and stops
+when successive global vectors pass a Kolmogorov-Smirnov stability check.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class ClientState:
     rng_seed: int = 0
     draw_size: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.dataset.n < 1:
-            raise ValueError("client partition must be non-empty")
-
 
 @dataclass(frozen=True)
 class UpdateMessage:
@@ -78,8 +74,9 @@ class UpdateMessage:
             raise ProtocolError("bitmap popcount must equal nonzero probability count")
         if self.sample_count < 1:
             raise ProtocolError("sample_count must be positive")
+        values = np.fromiter(self.nonzero_probs, dtype=np.float64, count=len(self.nonzero_probs))
         # A NaN fails both comparisons, so this also refuses non-finite values.
-        if not all(0.0 <= v <= 1.0 for v in self.nonzero_probs):
+        if not np.all((0.0 <= values) & (values <= 1.0)):
             raise ProtocolError("probabilities must be finite and in [0, 1]")
 
     @property
@@ -276,7 +273,7 @@ class FederationReport:
 def run_federation(
     clients: Sequence[ClientState],
     params: CEParams,
-    fault: Optional[FaultModel] = None,
+    fault: FaultModel = FaultModel(),
     tau1: float = DEFAULT_TAU1,
     tau2: float = DEFAULT_TAU2,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
@@ -288,7 +285,8 @@ def run_federation(
     global vector; faulty clients send nothing and rejoin in a later round.
     The server averages the float32 values it decodes from the reply bytes it
     counts, leaving out (and listing in ``rejected``) a reply that raises
-    ``ProtocolError``; a round with nothing to average keeps the vector.
+    ``ProtocolError`` or whose header names another client; a round with
+    nothing to average keeps the vector.
     """
     if not clients:
         raise ValueError("need at least one client")
@@ -303,15 +301,17 @@ def run_federation(
     converged = False
 
     for r in range(1, max_rounds + 1):
-        participants = [
-            c for c in clients if fault is None or not fault.is_faulty(c.client_id, r)
-        ]
+        participants = [c for c in clients if not fault.is_faulty(c.client_id, r)]
         replies = [client_round(c, p_global, params, r) for c in participants]
         messages, rejected = [], []
         for c, raw in zip(participants, replies):
             try:
-                messages.append(UpdateMessage.from_bytes(raw, m))
+                message = UpdateMessage.from_bytes(raw, m)
             except ProtocolError:
+                message = None
+            if message is not None and message.client_id == c.client_id:
+                messages.append(message)
+            else:
                 rejected.append(c.client_id)
 
         p_old = p_global

@@ -21,36 +21,11 @@ _WORD_BITS = 64
 # 2**0 .. 2**62: the count of these <= v is v.bit_length() for any int64 v >= 0.
 _POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
 _ZERO = np.uint64(0)
-# Packed words (masks x n x words per row) that one chunk of score_masks
+# Packed words (masks x n x words per row) that one chunk of evaluate_objective
 # sorts at once: 2**14 words or one mask, whichever is larger, so peak
 # memory stays flat in S. Wide data (mav: 727 x 34 words) gets one mask per
 # chunk, whose temporaries each exceed the budget.
 _CHUNK_WORDS = 2**14
-
-
-@dataclass(frozen=True)
-class DiscretizationSpec:
-    """Equal-width binning configuration for continuous inputs.
-
-    ``bins`` is either one bin count applied to every column or a per-column
-    sequence. Any column with more than one distinct value needs at least
-    two bins.
-    """
-
-    bins: int | Sequence[int] = 10
-
-    def bins_for(self, m: int) -> np.ndarray:
-        if isinstance(self.bins, int):
-            counts = np.full(m, self.bins, dtype=np.int64)
-        else:
-            counts = np.asarray(self.bins, dtype=np.int64)
-            if counts.shape != (m,):
-                raise ValueError(
-                    f"discretization spec has {counts.size} bin counts, expected {m}"
-                )
-        if np.any(counts < 1):
-            raise ValueError("bin counts must be positive")
-        return counts
 
 
 @dataclass(frozen=True)
@@ -169,8 +144,8 @@ def validate_mask(mask: np.ndarray | Sequence[int], m: int, ndim: int = 1) -> np
     return arr.astype(bool)
 
 
-def discretize(real_matrix: np.ndarray, spec: DiscretizationSpec) -> np.ndarray:
-    """Map each column of a real-valued matrix to equal-width bin indices.
+def discretize(real_matrix: np.ndarray, bins: int = 10) -> np.ndarray:
+    """Map each column of a real-valued matrix to one of ``bins`` equal-width bins.
 
     A value at the boundary between two bins goes to the upper bin; the
     column maximum goes to the last bin. Constant columns map to bin 0.
@@ -178,8 +153,9 @@ def discretize(real_matrix: np.ndarray, spec: DiscretizationSpec) -> np.ndarray:
     data = np.asarray(real_matrix, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("input matrix must be 2-D")
+    if bins < 1:
+        raise ValueError(f"bin count must be positive, got {bins}")
     n, m = data.shape
-    counts = spec.bins_for(m)
     codes = np.zeros((n, m), dtype=np.int64)
     for j in range(m):
         col = data[:, j]
@@ -188,10 +164,10 @@ def discretize(real_matrix: np.ndarray, spec: DiscretizationSpec) -> np.ndarray:
         lo, hi = col.min(), col.max()
         if hi == lo:
             continue
-        if counts[j] < 2:
+        if bins < 2:
             raise ValueError(f"column {j} varies but has fewer than 2 bins")
-        scaled = (col - lo) / (hi - lo) * counts[j]
-        codes[:, j] = np.clip(np.floor(scaled).astype(np.int64), 0, counts[j] - 1)
+        scaled = (col - lo) / (hi - lo) * bins
+        codes[:, j] = np.clip(np.floor(scaled).astype(np.int64), 0, bins - 1)
     return codes
 
 
@@ -272,7 +248,7 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     return values
 
 
-def score_masks(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
+def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
     """:func:`conditional_entropy` of each row of an (S, m) batch of masks, unchecked.
 
     The caller checks the batch, as with ``validate_mask(masks, m, ndim=2)``.
@@ -306,7 +282,7 @@ def conditional_entropy(dataset: DiscreteDataset, mask: np.ndarray | Sequence[in
     Rows are grouped on the exact tuple of masked feature values; the empty
     mask reduces to the label entropy.
     """
-    return float(score_masks(dataset, validate_mask(mask, dataset.m)[None])[0])
+    return float(evaluate_objective(dataset, validate_mask(mask, dataset.m)[None])[0])
 
 
 def mutual_information(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:

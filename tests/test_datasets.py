@@ -124,7 +124,7 @@ class TestCsvIo:
     def test_round_trip_xor(self, xor_dataset, tmp_path):
         path = tmp_path / "xor.csv"
         save_csv(xor_dataset, path)
-        loaded = load_csv(path, spec=None)
+        loaded = load_csv(path)
         # Feature codes 0/1 survive equal-width binning into 10 bins as 0/9,
         # which leaves the information content intact; compare via entropy.
         assert loaded.n == 4 and loaded.m == 2

@@ -120,20 +120,37 @@ class TestCodec:
             assert np.all((decoded >= 0.0) & (decoded <= 1.0))
 
 
-MALFORMED = [(0, 0.5), (1, float("nan")), (1, 7.5), (1, -0.1), (1, float("inf"))]
+# (sample_count, value): a reply of that one value, or of a tuple of values.
+MALFORMED = [
+    (0, 0.5),
+    (1, float("nan")),
+    (1, 7.5),
+    (1, -0.1),
+    (1, float("inf")),
+    pytest.param(1, (0.5,) * 2165 + (float("nan"),), id="1-2166-values-last-nan"),
+]
+
+
+def leading_values(value):
+    """The values and a bitmap marking the first len(values) positions."""
+    values = value if isinstance(value, tuple) else (value,)
+    return values, np.packbits(np.ones(len(values), dtype=bool), bitorder="little").tobytes()
 
 
 class TestMessageValidation:
     @pytest.mark.parametrize("sample_count, value", MALFORMED)
     def test_constructor_refuses(self, sample_count, value):
+        values, bitmap = leading_values(value)
         with pytest.raises(ProtocolError):
-            UpdateMessage(0, sample_count, (value,), bytes([0b1]))
+            UpdateMessage(0, sample_count, values, bitmap)
 
     @pytest.mark.parametrize("sample_count, value", MALFORMED)
     def test_from_bytes_refuses(self, sample_count, value):
-        raw = struct.pack("<IQI", 0, sample_count, 1) + bytes([0b1]) + struct.pack("<f", value)
+        values, bitmap = leading_values(value)
+        z = len(values)
+        raw = struct.pack("<IQI", 0, sample_count, z) + bitmap + struct.pack(f"<{z}f", *values)
         with pytest.raises(ProtocolError):
-            UpdateMessage.from_bytes(raw, 3)
+            UpdateMessage.from_bytes(raw, z + 2)
 
     def test_closed_unit_interval_accepted(self):
         raw = struct.pack("<IQI", 0, 1, 2) + bytes([0b101]) + struct.pack("<2f", 0.0, 1.0)
@@ -540,6 +557,22 @@ class TestWirePath:
         good, bad = sent[1]
         with pytest.raises(ProtocolError):
             UpdateMessage.from_bytes(bad, 4)
+        assert record.participants == [0, 1]
+        assert record.rejected == [1]
+        assert record.bytes_sent == len(good) + len(bad)
+        expected = clamp_probs(aggregate([UpdateMessage.from_bytes(good, 4)], 4), params.clamp_eps)
+        assert np.array_equal(record.p_global, expected)
+
+    def test_reply_naming_another_client_is_rejected(self, two_clients, monkeypatch):
+        def as_client_0(client_id, raw):
+            return struct.pack("<I", 0) + raw[4:] if client_id == 1 else raw
+
+        sent = self.spy_replies(monkeypatch, as_client_0)
+        params = CEParams(sample_count=20)
+        report = run_federation(two_clients, params, max_rounds=1)
+        record = report.rounds[0]
+        good, bad = sent[1]
+        assert UpdateMessage.from_bytes(bad, 4).client_id == 0
         assert record.participants == [0, 1]
         assert record.rejected == [1]
         assert record.bytes_sent == len(good) + len(bad)

@@ -14,7 +14,6 @@ from fedfs import info
 from fedfs.ce import evaluate_objective
 from fedfs.info import (
     DiscreteDataset,
-    DiscretizationSpec,
     conditional_entropy,
     discretize,
     entropy,
@@ -41,33 +40,31 @@ def oracle_conditional_entropy(features, labels, mask) -> float:
 
 class TestDiscretize:
     def test_two_point_extremes(self):
-        codes = discretize(np.array([[0.0], [1.0]]), DiscretizationSpec(2))
+        codes = discretize(np.array([[0.0], [1.0]]), 2)
         assert codes[:, 0].tolist() == [0, 1]
 
     def test_constant_column(self):
-        codes = discretize(np.array([[5.0], [5.0], [5.0]]), DiscretizationSpec(4))
+        codes = discretize(np.array([[5.0], [5.0], [5.0]]), 4)
         assert codes[:, 0].tolist() == [0, 0, 0]
 
     def test_midpoint_goes_to_upper_bin(self):
-        codes = discretize(
-            np.array([[0.0], [0.49], [0.51], [1.0]]), DiscretizationSpec(2)
-        )
+        codes = discretize(np.array([[0.0], [0.49], [0.51], [1.0]]), 2)
         assert codes[:, 0].tolist() == [0, 0, 1, 1]
 
     def test_boundary_value_goes_up(self):
-        codes = discretize(np.array([[0.0], [0.5], [1.0]]), DiscretizationSpec(2))
+        codes = discretize(np.array([[0.0], [0.5], [1.0]]), 2)
         assert codes[:, 0].tolist() == [0, 1, 1]
 
     def test_non_finite_rejected_with_column(self):
         bad = np.array([[0.0, np.nan], [1.0, 2.0]])
         with pytest.raises(ValueError, match="column 1"):
-            discretize(bad, DiscretizationSpec(2))
+            discretize(bad, 2)
 
-    def test_per_column_bins(self):
-        data = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
-        codes = discretize(data, DiscretizationSpec((2, 4)))
-        assert codes[:, 0].max() == 1
-        assert codes[:, 1].max() == 3
+    def test_too_few_bins_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            discretize(np.array([[5.0], [5.0]]), 0)
+        with pytest.raises(ValueError, match="column 1"):
+            discretize(np.array([[5.0, 0.0], [5.0, 1.0]]), 1)
 
 
 class TestEntropy:
