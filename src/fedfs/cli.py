@@ -98,11 +98,13 @@ def run_experiment(config: ExperimentConfig) -> int:
                 ";".join(str(i) for i in record.participants),
                 cum_units,
                 cum_units * UNIT_BYTES,
+                ";".join(str(i) for i in record.rejected),
             ]
         )
     _write_csv(
         out_dir / "rounds.csv",
-        ["round", "ks_p_value", "selected_count", "participants", "cum_overhead_units", "cum_overhead_bytes"],
+        ["round", "ks_p_value", "selected_count", "participants", "cum_overhead_units",
+         "cum_overhead_bytes", "rejected"],
         rounds_rows,
     )
 

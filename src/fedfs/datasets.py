@@ -87,7 +87,7 @@ def generate_planted(spec: PlantedSpec) -> DiscreteDataset:
         rows = np.vstack([rows, extra])
     rows = rows[rng.permutation(spec.n)]
 
-    features = np.zeros((spec.n, spec.m), dtype=np.int64)
+    features = np.zeros((spec.n, spec.m), dtype=np.uint8)
     for pos, col in enumerate(spec.relevant):
         features[:, col] = rows[:, pos]
     for dup, src in spec.redundant.items():

@@ -26,6 +26,9 @@ _ZERO = np.uint64(0)
 # memory stays flat in S. Wide data (mav: 727 x 34 words) gets one mask per
 # chunk, whose temporaries each exceed the budget.
 _CHUNK_WORDS = 2**14
+# Code dtypes from narrowest to widest, each with the largest value it holds.
+# Never uint64: numpy promotes uint64 with int64 to float64.
+_CODE_DTYPES = tuple((np.iinfo(t).max, t) for t in (np.uint8, np.uint16, np.uint32, np.int64))
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,10 @@ class DiscreteDataset:
 
     ``features`` is an n x m matrix of non-negative integer codes and
     ``labels`` an n-vector of non-negative integer codes. Discretization
-    happens before construction. Instances are immutable.
+    happens before construction. Each is stored read-only in the narrowest
+    of uint8, uint16 and uint32 that holds its largest code, or as int64
+    above 2**32 - 1; codes past 2**63 - 1 are refused. Instances are
+    immutable.
     """
 
     features: np.ndarray
@@ -53,14 +59,17 @@ class DiscreteDataset:
                 if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
                     raise ValueError(f"{what} values must be finite integers")
                 arr = arr.astype(np.int64)
-            if np.any(arr < 0):
+            if arr.min() < 0:
                 raise ValueError(f"{what} values must be non-negative")
-        features = features.astype(np.int64, copy=True)
-        labels = labels.astype(np.int64, copy=True)
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+            top = int(arr.max())
+            for limit, dtype in _CODE_DTYPES:
+                if top <= limit:
+                    break
+            else:
+                raise ValueError(f"{what} values must be below 2**63")
+            codes = arr.astype(dtype, copy=True)
+            codes.setflags(write=False)
+            object.__setattr__(self, f"{what}s", codes)
         names = self.feature_names
         if not names:
             names = tuple(f"f{i}" for i in range(features.shape[1]))
@@ -121,9 +130,9 @@ def _pack_rows(features: np.ndarray, labels: np.ndarray) -> PackedRows:
     spare = int(shifts[-1])
     words = np.zeros((features.shape[0], len(starts) + (label_width > spare)), dtype=np.uint64)
     for w, (first, stop) in enumerate(zip(starts, starts[1:] + [widths.size])):
-        shifted = features[:, first:stop].view(np.uint64) << shifts[first:stop]
+        shifted = features[:, first:stop].astype(np.uint64) << shifts[first:stop]
         words[:, w] = np.bitwise_or.reduce(shifted, axis=1)
-    words[:, -1] |= labels.view(np.uint64)
+    words[:, -1] |= labels.astype(np.uint64)
     one = np.uint64(1)
     fields = ((one << widths.astype(np.uint64)) - one) << shifts
     label_field = (one << np.uint64(label_width)) - one

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fedfs import federation
 from fedfs.cli import main
 from fedfs.config import ConfigError, ExperimentConfig, parse_config
 from fedfs.datasets import load_csv
@@ -179,6 +180,8 @@ class TestRunCommand:
         assert int(summary["rounds"]) == len(rounds) - 1
         assert summary["overhead_units"] == rounds[-1][4]
         assert summary["overhead_bytes"] == rounds[-1][5]
+        # No reply was rejected.
+        assert all(row[6] == "" for row in rounds[1:])
 
     def test_invalid_config_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG + "beta = 1.5\n")
@@ -234,6 +237,21 @@ class TestRunCommand:
         main(["run", str(faulty), "--out-dir", str(tmp_path / "d"), "--seed", "99"])
         c, d = ([row[3] for row in read_rows(tmp_path / x / "rounds.csv")[1:]] for x in "cd")
         assert c != d
+
+    def test_rejected_replies_listed_in_rounds_csv(self, tmp_path, monkeypatch):
+        real = federation.client_round
+
+        def truncating(client, p_global, params, round_index):
+            raw = real(client, p_global, params, round_index)
+            return raw[:-1] if client.client_id == 1 else raw
+
+        monkeypatch.setattr(federation, "client_round", truncating)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"max_rounds = 3\nout_dir = {tmp_path / 'out'}\n")
+        main(["run", str(cfg)])
+        header, *rows = read_rows(tmp_path / "out" / "rounds.csv")
+        assert header == ["round", "ks_p_value", "selected_count", "participants",
+                          "cum_overhead_units", "cum_overhead_bytes", "rejected"]
+        assert rows and all(row[3] == "0;1;2;3" and row[-1] == "1" for row in rows)
 
     def test_svg_plots_written(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + f"out_dir = {tmp_path / 'out'}\n")

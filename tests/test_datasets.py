@@ -1,5 +1,7 @@
 """Planted generators, iid partitioning, and CSV ingestion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ class TestCsvIo:
         assert conditional_entropy(loaded, [1, 1]) == 0.0
         assert loaded.feature_names == ("f0", "f1")
 
+    def test_round_trip_uint8_codes(self, tmp_path):
+        ds = generate_planted(PlantedSpec(m=5, n=64, relevant=(0, 1), redundant={2: 0}, rng_seed=3))
+        assert ds.features.dtype == np.uint8
+        path = tmp_path / "planted.csv"
+        save_csv(ds, path)
+        lines = path.read_text().splitlines()
+        assert all(cell.isdigit() for line in lines[1:] for cell in line.split(","))
+        # Two bins map each varying 0/1 column back onto 0/1.
+        loaded = load_csv(path, bins=2)
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.labels, ds.labels)
+
     def test_non_numeric_cell_located(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -185,6 +199,18 @@ class TestPresets:
         spec = preset_planted_spec("wesad", rng_seed=1)
         assert (spec.m, spec.n) == (8, 4000)
         assert spec.relevant == (1, 2, 5, 6)
+
+    def test_mav_preset_and_partitions_stay_narrow(self):
+        # int64 codes would peak above 100 MB here; uint8 ones need a few n x m bytes.
+        spec = preset_planted_spec("mav")
+        tracemalloc.start()
+        try:
+            parts = partition_iid(generate_planted(spec), 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * spec.n * spec.m
+        assert all(part.features.dtype == np.uint8 for part in parts)
 
     def test_mav_preset_spec(self):
         spec = preset_planted_spec("mav")

@@ -376,3 +376,40 @@ class TestDatasetValidation:
 
     def test_default_names(self, xor_dataset):
         assert xor_dataset.feature_names == ("f0", "f1")
+
+
+class TestStoredDtypes:
+    """Codes are kept in the narrowest unsigned dtype that holds them, never uint64."""
+
+    @pytest.mark.parametrize(
+        "top, dtype",
+        [(1, np.uint8), (255, np.uint8), (300, np.uint16), (2**20, np.uint32), (2**40, np.int64)],
+    )
+    def test_features_take_the_narrowest_dtype(self, top, dtype):
+        features = np.array([[0, top], [1, 0]], dtype=np.int64)
+        ds = DiscreteDataset(features, np.array([0, 1]))
+        assert ds.features.dtype == dtype
+        assert np.array_equal(ds.features, features)
+
+    def test_labels_narrowed_the_same_way(self):
+        ds = DiscreteDataset(np.array([[0], [1]]), np.array([0, 300]))
+        assert ds.labels.dtype == np.uint16
+        assert DiscreteDataset(np.array([[0]]), np.array([2**40])).labels.dtype == np.int64
+
+    def test_float_coded_integers_stored_as_unsigned_integers(self):
+        ds = DiscreteDataset(np.array([[0.0, 300.0]]), np.array([1.0]))
+        assert ds.features.dtype == np.uint16 and ds.labels.dtype == np.uint8
+        assert np.array_equal(ds.features, [[0, 300]]) and ds.labels.tolist() == [1]
+
+    def test_codes_past_int64_refused(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            DiscreteDataset(np.array([[2**63]], dtype=np.uint64), np.array([0]))
+
+    def test_both_arrays_read_only_and_copied(self):
+        features, labels = np.array([[0, 300]]), np.array([2])
+        ds = DiscreteDataset(features, labels)
+        features[0, 0] = labels[0] = 7
+        assert ds.features[0, 0] == 0 and ds.labels[0] == 2
+        for arr in (ds.features, ds.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 1
