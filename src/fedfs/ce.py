@@ -159,21 +159,31 @@ def ce_update(
     """Score already-sampled masks and pull p toward their elite.
 
     Runs check -> score -> rank -> percentile -> update. The (S, m) batch is
-    checked once and scored in one :func:`evaluate_objective` call. The
-    percentile and the elite are taken over :func:`rank_masks` ranks, not raw
-    objectives: the elite is the best ceil((1-beta)*S) masks, plus any copies
-    of the last of them. ``round_index`` only sets alpha under the "schedule"
-    mode.
+    checked once, and each distinct mask in it is scored and ranked once: one
+    :func:`evaluate_objective` and one :func:`rank_masks` call over the first
+    copies, whose ranks every copy then shares. A mask scores the same bits
+    alone or in any batch, and copies share a rank anyway, so the ranks are
+    those of scoring all S. The percentile and the elite are taken over the S
+    ranks, not raw objectives: the elite is the best ceil((1-beta)*S) masks,
+    plus any copies of the last of them. ``round_index`` only sets alpha
+    under the "schedule" mode.
     """
-    validate_mask(masks, dataset.m, ndim=2)
+    checked = validate_mask(masks, dataset.m, ndim=2)
     if params.alpha_mode == "schedule":
         alpha = alpha_schedule(round_index, dataset.m)
     else:
         alpha = params.alpha
-    objectives = evaluate_objective(dataset, masks)
-    ranks = rank_masks(masks, objectives)
+    # Each mask's first copy, keyed on its packed bits.
+    first: dict[bytes, int] = {}
+    bits = np.packbits(checked, axis=1)
+    owner = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
+    distinct = list(first.values())
+    unique = checked[distinct]
+    ranks = np.empty(len(owner), dtype=np.int64)
+    ranks[distinct] = rank_masks(unique, evaluate_objective(dataset, unique))
+    ranks = ranks[owner]
     gamma = compute_gamma(ranks, params.beta)
-    return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)
+    return update_probabilities(p, checked, ranks, gamma, alpha, params.clamp_eps)
 
 
 def ce_round(

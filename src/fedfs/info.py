@@ -55,10 +55,10 @@ class DiscreteDataset:
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise ValueError("labels must be a vector with one entry per row")
         for arr, what in ((features, "feature"), (labels, "label")):
+            # Float codes are range-checked before any cast, which would wrap past 2**63.
             if not np.issubdtype(arr.dtype, np.integer):
                 if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
                     raise ValueError(f"{what} values must be finite integers")
-                arr = arr.astype(np.int64)
             if arr.min() < 0:
                 raise ValueError(f"{what} values must be non-negative")
             top = int(arr.max())
@@ -91,6 +91,14 @@ class DiscreteDataset:
     def packed(self) -> PackedRows:
         """The rows as bit fields in uint64 words, built on first use and kept."""
         return _pack_rows(self.features, self.labels)
+
+    @cached_property
+    def group_terms(self) -> np.ndarray:
+        """Read-only table of (c/n) log2(c/n) for c = 0..n (0 at c = 0), built on first use."""
+        probs = np.arange(1, self.n + 1) / self.n
+        terms = np.concatenate(([0.0], probs * np.log2(probs)))
+        terms.setflags(write=False)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -275,10 +283,8 @@ def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarra
     whichever is larger, one (chunk, n) sort per chunk, so the temporaries
     do not grow with S.
     """
-    packed = dataset.packed
+    packed, terms_of = dataset.packed, dataset.group_terms
     masks = np.asarray(masks, dtype=bool)
-    probs = np.arange(1, dataset.n + 1) / dataset.n
-    terms_of = np.concatenate(([0.0], probs * np.log2(probs)))
     chunk = max(1, _CHUNK_WORDS // packed.words.size)
     # A generator, so only one chunk's flags are alive at a time.
     starts = (_group_starts(packed, masks[i : i + chunk]) for i in range(0, masks.shape[0], chunk))

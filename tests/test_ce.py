@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedfs import ce
 from fedfs.ce import (
     CEParams,
+    alpha_schedule,
     ce_round,
     ce_update,
     clamp_probs,
@@ -20,7 +24,7 @@ from fedfs.ce import (
     update_probabilities,
 )
 from fedfs.datasets import PlantedSpec, generate_planted
-from fedfs.info import conditional_entropy
+from fedfs.info import DiscreteDataset, conditional_entropy
 
 
 class TestSampleMasks:
@@ -262,6 +266,81 @@ class TestCeRound:
         mask = np.zeros(50, dtype=np.int64)
         mask[[0, 1, 2, 3]] = 1
         assert evaluate_objective(planted50, mask[None])[0] <= 1e-12
+
+
+def score_every_copy(dataset, p, masks, params, round_index):
+    """The CE step without the copy check: every one of the S masks is scored and ranked."""
+    if params.alpha_mode == "schedule":
+        alpha = alpha_schedule(round_index, dataset.m)
+    else:
+        alpha = params.alpha
+    ranks = rank_masks(masks, evaluate_objective(dataset, masks))
+    gamma = compute_gamma(ranks, params.beta)
+    return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)
+
+
+@st.composite
+def rounds_with_copies(draw):
+    """(dataset, p, masks, params, round_index) where the S masks repeat a few drawn ones.
+
+    Either m <= 4, where copies are common anyway, or m = 50 with every
+    probability near 0 or 1, as in a settled vector.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        p = rng.random(m)
+    else:
+        m = 50
+        near = draw(st.sampled_from([1e-6, 1e-3, 0.05]))
+        p = np.where(rng.random(m) < 0.5, near, 1.0 - near)
+    n = draw(st.integers(1, 40))
+    features = rng.integers(0, draw(st.integers(1, 4)), size=(n, m))
+    if m > 1 and draw(st.booleans()):
+        features[:, -1] = features[:, 0]  # a copied column: equal objectives, popcount decides
+    dataset = DiscreteDataset(features, rng.integers(0, draw(st.integers(1, 3)), size=n))
+    count = draw(st.integers(2, 60))
+    pool = sample_masks(p, draw(st.integers(1, count)), rng)
+    masks = pool[rng.integers(0, pool.shape[0], size=count)]
+    params = CEParams(
+        sample_count=count,
+        beta=draw(st.sampled_from([0.5, 0.8, 0.9, 0.99])),
+        alpha=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        alpha_mode=draw(st.sampled_from(["fixed", "schedule"])),
+    )
+    return dataset, p, masks, params, draw(st.integers(1, 5))
+
+
+class TestDistinctMasks:
+    """ce_update scores and ranks each distinct mask once, with the result of scoring all S."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rounds_with_copies())
+    def test_equals_scoring_every_copy(self, case):
+        dataset, p, masks, params, round_index = case
+        expected = score_every_copy(dataset, p, masks, params, round_index)
+        assert ce_update(dataset, p, masks, params, round_index).tolist() == expected.tolist()
+
+    def test_each_distinct_mask_scored_and_ranked_once(self, xor_noise_dataset, monkeypatch):
+        seen = []
+
+        def rows(batch):
+            return [tuple(int(b) for b in row) for row in batch]
+
+        def scoring(dataset, batch):
+            seen.append(("score", rows(batch)))
+            return evaluate_objective(dataset, batch)
+
+        def ranking(batch, values):
+            seen.append(("rank", rows(batch)))
+            return rank_masks(batch, values)
+
+        monkeypatch.setattr(ce, "evaluate_objective", scoring)
+        monkeypatch.setattr(ce, "rank_masks", ranking)
+        masks = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
+        ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6), 1)
+        distinct = [(1, 0, 1), (0, 0, 0), (1, 1, 0)]
+        assert seen == [("score", distinct), ("rank", distinct)]
 
 
 class TestSelectFeatures:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -357,6 +358,25 @@ class TestBatchScoring:
         assert peak < 750_000
 
 
+class TestGroupTerms:
+    """The (c/n) log2(c/n) table is built once per dataset and cannot be written."""
+
+    def test_read_only_table_kept_across_calls(self):
+        features = np.array([[0, 1], [1, 1], [1, 0], [0, 0], [1, 1]])
+        ds = DiscreteDataset(features, np.array([0, 1, 1, 0, 1]))
+        masks = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
+        assert "group_terms" not in vars(ds)
+        first = evaluate_objective(ds, masks).tolist()
+        terms = ds.group_terms
+        probs = np.arange(1, 6) / 5
+        assert terms.tolist() == [0.0] + (probs * np.log2(probs)).tolist()
+        assert not terms.flags.writeable
+        with pytest.raises(ValueError):
+            terms[1] = 0.0
+        assert evaluate_objective(ds, masks).tolist() == first
+        assert ds.group_terms is terms
+
+
 class TestDatasetValidation:
     def test_rejects_negative_codes(self):
         with pytest.raises(ValueError):
@@ -404,6 +424,23 @@ class TestStoredDtypes:
     def test_codes_past_int64_refused(self):
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
             DiscreteDataset(np.array([[2**63]], dtype=np.uint64), np.array([0]))
+
+    @pytest.mark.parametrize("big", [1e30, 2.0**63])
+    def test_float_codes_past_int64_refused_without_a_cast_warning(self, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^feature values must be below 2\\*\\*63$"):
+                DiscreteDataset(np.array([[big]]), np.array([0]))
+            with pytest.raises(ValueError, match="^label values must be below 2\\*\\*63$"):
+                DiscreteDataset(np.array([[0]]), np.array([big]))
+            with pytest.raises(ValueError, match="^feature values must be non-negative$"):
+                DiscreteDataset(np.array([[-big]]), np.array([0]))
+
+    def test_largest_float_below_2_63_stored_exactly(self):
+        top = np.nextafter(2.0**63, 0.0)
+        ds = DiscreteDataset(np.array([[top]]), np.array([top]))
+        assert ds.features.dtype == ds.labels.dtype == np.int64
+        assert int(ds.features[0, 0]) == int(ds.labels[0]) == 2**63 - 1024
 
     def test_both_arrays_read_only_and_copied(self):
         features, labels = np.array([[0, 300]]), np.array([2])
