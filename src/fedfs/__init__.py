@@ -46,7 +46,7 @@ from .metrics import (
     compression_ratio,
     network_overhead,
 )
-from .bounds import BoundInputs, centralized_miss_bound, federated_miss_bound
+from .bounds import BoundInputs, centralized_miss_bound
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Convergence bounds for the cross-entropy search and their Monte-Carlo check.
+"""Centralized convergence bound of the cross-entropy search and its Monte-Carlo check.
 
-The bounds upper-bound the probability that no sampled mask up to a horizon
-t' equals the unique optimal mask, for the smoothing schedule alpha_t =
-1/(t*m). The Monte-Carlo runner measures the same miss event empirically on
-tiny datasets where the optimum is found by exhaustive search.
+The bound is an upper bound on the probability that no sampled mask up to a
+horizon t' equals the unique optimal mask, for the smoothing schedule
+alpha_t = 1/(t*m). The Monte-Carlo runner measures the same miss event
+empirically on tiny datasets where the optimum is found by exhaustive search.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from .info import NEG_CLAMP, DiscreteDataset, evaluate_objective
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Terms of the miss-probability bounds.
+    """Terms of the miss-probability bound.
 
     ``p0`` is the scalar uniform initialization; ``optimal_mask`` identifies
     the unique optimum; ``alpha_seq`` overrides the 1/(t*m) schedule when
-    given. ``per_node_m_l`` and ``weights`` describe the federated variant:
-    how many entries each node's local optimum may differ by, and the node
-    mixture weights.
+    given.
     """
 
     t_prime: int
@@ -34,8 +32,6 @@ class BoundInputs:
     optimal_mask: tuple[int, ...]
     p0: float = 0.5
     alpha_seq: Optional[tuple[float, ...]] = None
-    per_node_m_l: Optional[tuple[int, ...]] = None
-    weights: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "optimal_mask", tuple(int(b) for b in self.optimal_mask))
@@ -51,12 +47,6 @@ class BoundInputs:
             object.__setattr__(self, "alpha_seq", tuple(self.alpha_seq))
             if any(not 0.0 <= a < 1.0 for a in self.alpha_seq):
                 raise ValueError("alpha_seq entries must be in [0, 1)")
-        if self.per_node_m_l is not None:
-            object.__setattr__(self, "per_node_m_l", tuple(self.per_node_m_l))
-            if any(ml < 0 or ml > self.m for ml in self.per_node_m_l):
-                raise ValueError("each per-node entry count must be in [0, m]")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @property
     def m(self) -> int:
@@ -90,51 +80,6 @@ def centralized_miss_bound(inputs: BoundInputs) -> float:
     for tau in range(2, inputs.t_prime + 1):
         bound *= (1.0 - p_hit * _decay(inputs, tau, inputs.m)) ** inputs.sample_count
     return min(max(bound, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class FederatedBound:
-    value: float
-    clamped: bool
-
-
-def federated_miss_bound(inputs: BoundInputs) -> FederatedBound:
-    """Weighted mixture of per-node miss bounds for the federated variant.
-
-    The binomial factor can push a per-node factor above 1 at small
-    horizons; such factors are clamped to 1 and the result is flagged.
-    """
-    if inputs.per_node_m_l is None or inputs.weights is None:
-        raise ValueError("per_node_m_l and weights are required")
-    if len(inputs.per_node_m_l) != len(inputs.weights):
-        raise ValueError("per_node_m_l and weights must have equal length")
-    if abs(sum(inputs.weights) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    if inputs.t_prime == 0:
-        return FederatedBound(1.0, False)
-    p_hit = inputs.first_draw_hit_probability()
-    clamped = False
-    total = 0.0
-    for m_l, weight in zip(inputs.per_node_m_l, inputs.weights):
-        binom = math.comb(inputs.m, m_l)
-        first = binom * p_hit * (1.0 - p_hit)
-        if first > 1.0:
-            first = 1.0
-            clamped = True
-        node = first
-        for tau in range(2, inputs.t_prime + 1):
-            factor = (
-                binom
-                * p_hit
-                * _decay(inputs, tau, inputs.m - m_l)
-                * (1.0 - p_hit * _decay(inputs, tau, m_l))
-            )
-            if factor > 1.0:
-                factor = 1.0
-                clamped = True
-            node *= factor**inputs.sample_count
-        total += weight * node
-    return FederatedBound(min(max(total, 0.0), 1.0), clamped)
 
 
 def find_optimal_mask(dataset: DiscreteDataset) -> np.ndarray:

@@ -60,47 +60,14 @@ class ClientState:
     draw_size: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateMessage:
-    """Sparse client-to-server payload: nonzero probabilities plus a position bitmap."""
+    """A decoded and checked client reply: its header and the length-m vector it carries."""
 
     client_id: int
     sample_count: int
-    nonzero_probs: tuple[float, ...]
-    bitmap: bytes
-
-    def __post_init__(self) -> None:
-        if int.from_bytes(self.bitmap, "little").bit_count() != len(self.nonzero_probs):
-            raise ProtocolError("bitmap popcount must equal nonzero probability count")
-        if self.sample_count < 1:
-            raise ProtocolError("sample_count must be positive")
-        values = np.fromiter(self.nonzero_probs, dtype=np.float64, count=len(self.nonzero_probs))
-        # A NaN fails both comparisons, so this also refuses non-finite values.
-        if not np.all((0.0 <= values) & (values <= 1.0)):
-            raise ProtocolError("probabilities must be finite and in [0, 1]")
-
-    @property
-    def nonzero_count(self) -> int:
-        return len(self.nonzero_probs)
-
-    def to_bytes(self) -> bytes:
-        """Wire layout: header, bitmap, then nonzero values as little-endian float32."""
-        payload = struct.pack(f"<{len(self.nonzero_probs)}f", *self.nonzero_probs)
-        return _HEADER.pack(self.client_id, self.sample_count, len(self.nonzero_probs)) + self.bitmap + payload
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, m: int) -> "UpdateMessage":
-        bitmap_len = (m + 7) // 8
-        if len(raw) < _HEADER.size + bitmap_len:
-            raise ProtocolError("message shorter than header plus bitmap")
-        client_id, sample_count, z = _HEADER.unpack_from(raw, 0)
-        bitmap = raw[_HEADER.size : _HEADER.size + bitmap_len]
-        payload = raw[_HEADER.size + bitmap_len :]
-        if len(payload) != 4 * z:
-            raise ProtocolError(f"expected {z} float32 values, got {len(payload)} bytes")
-        if m % 8 and bitmap[-1] >> (m % 8):
-            raise ProtocolError(f"bitmap marks positions beyond m={m}")
-        return cls(client_id, sample_count, struct.unpack(f"<{z}f", payload), bitmap)
+    nonzero_count: int
+    values: np.ndarray
 
 
 def encode_message(
@@ -108,30 +75,49 @@ def encode_message(
     p: np.ndarray,
     sample_count: int,
     eps: float = DEFAULT_CLAMP,
-) -> UpdateMessage:
-    """Encode a probability vector, omitting entries at or below the clamp floor.
+) -> bytes:
+    """Wire bytes of one reply: header, bitmap, then the kept entries as float32.
 
+    The header is ``<IQI`` (client id, local sample count, nonzero count z).
     Bit i of the bitmap (LSB-first within each byte) marks that entry i was
-    transmitted; omitted entries decode as zero.
+    sent; entries at or below the clamp floor are left out and decode as
+    zero. The z kept entries follow as little-endian float32. Nothing is
+    checked here: the input is a clamped probability vector.
     """
     p = np.asarray(p, dtype=np.float64)
     keep = p > eps
+    kept = p[keep]
     bitmap = np.packbits(keep, bitorder="little").tobytes()
-    return UpdateMessage(client_id, sample_count, tuple(p[keep].tolist()), bitmap)
+    return _HEADER.pack(client_id, sample_count, kept.size) + bitmap + kept.astype("<f4").tobytes()
 
 
-def decode_message(message: UpdateMessage, m: int) -> np.ndarray:
-    """Reconstruct the length-m vector; omitted positions are restored as 0."""
-    if len(message.bitmap) != (m + 7) // 8:
-        raise ProtocolError(f"bitmap has {len(message.bitmap)} bytes, expected {(m + 7) // 8}")
-    bits = np.unpackbits(
-        np.frombuffer(message.bitmap, dtype=np.uint8), count=m, bitorder="little"
-    ).astype(bool)
-    if np.count_nonzero(bits) != message.nonzero_count:
+def decode_message(raw: bytes, m: int) -> UpdateMessage:
+    """Decode one reply into a length-m vector; a malformed one raises ``ProtocolError``.
+
+    Omitted positions are restored as 0 and kept ones as their float32 value.
+    """
+    start = _HEADER.size + (m + 7) // 8
+    if len(raw) < start:
+        raise ProtocolError("message shorter than header plus bitmap")
+    client_id, sample_count, z = _HEADER.unpack_from(raw, 0)
+    if len(raw) - start != UNIT_BYTES * z:
+        raise ProtocolError(f"expected {z} float32 values, got {len(raw) - start} bytes")
+    bitmap = np.frombuffer(raw, np.uint8, count=start - _HEADER.size, offset=_HEADER.size)
+    bits = np.unpackbits(bitmap, bitorder="little")
+    if bits[m:].any():
         raise ProtocolError(f"bitmap marks positions beyond m={m}")
-    p = np.zeros(m, dtype=np.float64)
-    p[bits] = message.nonzero_probs
-    return p
+    keep = bits[:m].astype(bool)
+    if np.count_nonzero(keep) != z:
+        raise ProtocolError("bitmap popcount must equal nonzero probability count")
+    if sample_count < 1:
+        raise ProtocolError("sample_count must be positive")
+    kept = np.frombuffer(raw, "<f4", count=z, offset=start)
+    # A NaN fails both comparisons, so this also refuses non-finite values.
+    if not np.all((0.0 <= kept) & (kept <= 1.0)):
+        raise ProtocolError("probabilities must be finite and in [0, 1]")
+    values = np.zeros(m, dtype=np.float64)
+    values[keep] = kept
+    return UpdateMessage(client_id, sample_count, z, values)
 
 
 def exchange_units(nonzero_count: int, bitmap_units: int) -> int:
@@ -171,17 +157,16 @@ def client_round(
         data = DiscreteDataset(data.features[rows], data.labels[rows], data.feature_names)
     local_params = replace(params, rng_seed=derive_seed(params.rng_seed, client.rng_seed))
     p_new = ce_round(data, p_global, local_params, round_index)
-    return encode_message(client.client_id, p_new, client.dataset.n, params.clamp_eps).to_bytes()
+    return encode_message(client.client_id, p_new, client.dataset.n, params.clamp_eps)
 
 
-def aggregate(messages: Sequence[UpdateMessage], m: int) -> np.ndarray:
+def aggregate(messages: Sequence[UpdateMessage]) -> np.ndarray:
     """Average the decoded client vectors, weighted by local dataset size."""
     if not messages:
         raise ProtocolError("cannot aggregate an empty message list")
     counts = np.array([msg.sample_count for msg in messages], dtype=np.float64)
     weights = counts / counts.sum()
-    vectors = np.stack([decode_message(msg, m) for msg in messages])
-    return weights @ vectors
+    return weights @ np.stack([msg.values for msg in messages])
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
@@ -306,7 +291,7 @@ def run_federation(
         messages, rejected = [], []
         for c, raw in zip(participants, replies):
             try:
-                message = UpdateMessage.from_bytes(raw, m)
+                message = decode_message(raw, m)
             except ProtocolError:
                 message = None
             if message is not None and message.client_id == c.client_id:
@@ -316,7 +301,7 @@ def run_federation(
 
         p_old = p_global
         if messages:
-            p_global = clamp_probs(aggregate(messages, m), params.clamp_eps)
+            p_global = clamp_probs(aggregate(messages), params.clamp_eps)
         v_old = v
         v = ks_two_sample(p_old, p_global)
         rounds.append(

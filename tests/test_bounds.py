@@ -1,7 +1,6 @@
 """Miss-probability bounds and their Monte-Carlo validation."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from fedfs.bounds import (
     BoundInputs,
     alpha_schedule,
     centralized_miss_bound,
-    federated_miss_bound,
     find_optimal_mask,
     miss_rate_curve,
 )
@@ -90,63 +88,6 @@ class TestCentralizedBound:
         for t in range(6):
             v = centralized_miss_bound(BoundInputs(t, 3, (1, 1, 1, 0), p0=0.9))
             assert 0.0 <= v <= 1.0
-
-
-class TestFederatedBound:
-    def test_requires_node_description(self):
-        with pytest.raises(ValueError):
-            federated_miss_bound(BoundInputs(2, 2, (1, 0, 1)))
-
-    def test_weights_must_sum_to_one(self):
-        inputs = BoundInputs(
-            2, 2, (1, 0, 1), per_node_m_l=(1, 1), weights=(0.5, 0.6)
-        )
-        with pytest.raises(ValueError):
-            federated_miss_bound(inputs)
-
-    def test_mixture_of_equal_nodes_matches_single(self):
-        single = federated_miss_bound(
-            BoundInputs(3, 2, (1, 1, 0), per_node_m_l=(2,), weights=(1.0,))
-        )
-        double = federated_miss_bound(
-            BoundInputs(3, 2, (1, 1, 0), per_node_m_l=(2, 2), weights=(0.5, 0.5))
-        )
-        assert double.value == pytest.approx(single.value, abs=1e-12)
-        assert double.clamped == single.clamped
-
-    def test_golden_hand_evaluation(self):
-        # t'=2, m=3, m_l=1, S=2, p0=0.5, alpha_j = 1/(j*3), evaluated with
-        # exact rational arithmetic.
-        p_hit = Fraction(1, 8)
-        binom = 3
-        first = binom * p_hit * (1 - p_hit)  # 21/64
-        decay_outer = (1 - Fraction(1, 3)) ** 2  # (1-alpha_1)^(m-m_l)
-        decay_inner = 1 - Fraction(1, 3)  # (1-alpha_1)^(m_l)
-        factor = binom * p_hit * decay_outer * (1 - p_hit * decay_inner)  # 11/72
-        expected = first * factor**2
-        assert expected == Fraction(2541, 331776)
-
-        result = federated_miss_bound(
-            BoundInputs(2, 2, (1, 1, 1), per_node_m_l=(1,), weights=(1.0,))
-        )
-        assert result.value == pytest.approx(float(expected), abs=1e-12)
-        assert not result.clamped
-
-    def test_clamped_factors_flagged(self):
-        # A high hit probability with a mid-range binomial coefficient pushes
-        # the first factor above 1, which must clamp and flag.
-        result = federated_miss_bound(
-            BoundInputs(1, 2, (1, 1, 1, 1), p0=0.9, per_node_m_l=(2,), weights=(1.0,))
-        )
-        assert result.clamped
-        assert result.value == 1.0
-
-    def test_zero_horizon(self):
-        result = federated_miss_bound(
-            BoundInputs(0, 2, (1, 0), per_node_m_l=(1,), weights=(1.0,))
-        )
-        assert result.value == 1.0
-        assert not result.clamped
 
 
 class TestFindOptimalMask:

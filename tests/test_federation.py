@@ -1,5 +1,6 @@
 """Protocol layer: codec, KS stability test, aggregation, server loop."""
 
+import math
 import struct
 
 import numpy as np
@@ -8,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedfs.federation as federation
-from fedfs.ce import CEParams, ce_round, clamp_probs, uniform_probs
+from fedfs.ce import DEFAULT_CLAMP, CEParams, ce_round, clamp_probs, uniform_probs
 from fedfs.datasets import PlantedSpec, generate_planted, partition_iid
 from fedfs.federation import (
     ClientState,
     FaultModel,
     ProtocolError,
-    UpdateMessage,
     aggregate,
     check_convergence,
     client_round,
@@ -28,42 +28,38 @@ from fedfs.federation import (
 from fedfs.info import DiscreteDataset, conditional_entropy
 
 
+def decoded(client_id, p, sample_count):
+    """The reply ``encode_message`` writes for ``p``, as the server decodes it."""
+    return decode_message(encode_message(client_id, p, sample_count), len(p))
+
+
 class TestCodec:
     def test_all_zero_vector(self):
-        msg = encode_message(0, np.zeros(10), sample_count=5)
-        assert msg.nonzero_probs == ()
-        assert msg.bitmap == bytes(2)
-        assert np.array_equal(decode_message(msg, 10), np.zeros(10))
+        raw = encode_message(0, np.zeros(10), sample_count=5)
+        assert raw == struct.pack("<IQI", 0, 5, 0) + bytes(2)
+        msg = decode_message(raw, 10)
+        assert msg.nonzero_count == 0
+        assert np.array_equal(msg.values, np.zeros(10))
 
     def test_three_entry_example(self):
-        msg = encode_message(1, np.array([0.5, 0.0, 0.25]), sample_count=7)
-        assert msg.nonzero_probs == (0.5, 0.25)
-        assert msg.bitmap == bytes([0b101])
-        assert decode_message(msg, 3).tolist() == [0.5, 0.0, 0.25]
-
-    def test_round_trip_1000_random_vectors(self):
-        rng = np.random.default_rng(77)
-        for _ in range(1000):
-            m = int(rng.integers(1, 40))
-            p = rng.random(m)
-            p[rng.random(m) < 0.3] = 0.0
-            msg = encode_message(3, p, sample_count=int(rng.integers(1, 1000)))
-            assert np.array_equal(decode_message(msg, m), p)
+        raw = encode_message(1, np.array([0.5, 0.0, 0.25]), sample_count=7)
+        assert raw[16:17] == bytes([0b101])
+        msg = decode_message(raw, 3)
+        assert (msg.client_id, msg.sample_count, msg.nonzero_count) == (1, 7, 2)
+        assert msg.values.tolist() == [0.5, 0.0, 0.25]
 
     def test_byte_round_trip_is_float32(self):
         p = np.array([0.123456789, 0.0, 0.987654321])
-        msg = encode_message(9, p, sample_count=100)
-        back = UpdateMessage.from_bytes(msg.to_bytes(), 3)
+        back = decoded(9, p, sample_count=100)
         assert back.client_id == 9
         assert back.sample_count == 100
-        restored = decode_message(back, 3)
-        assert np.allclose(restored, p, atol=1e-7)
-        assert restored[1] == 0.0
+        assert back.values.dtype == np.float64
+        assert back.values.tolist() == [float(np.float32(p[0])), 0.0, float(np.float32(p[2]))]
+        assert not np.array_equal(back.values, p)
 
     def test_wire_layout(self):
         # External interface: header <u32 id, u64 n, u32 z>, bitmap, float32s.
-        msg = encode_message(5, np.array([0.5, 0.0, 0.25]), sample_count=291)
-        raw = msg.to_bytes()
+        raw = encode_message(5, np.array([0.5, 0.0, 0.25]), sample_count=291)
         client_id, n, z = struct.unpack_from("<IQI", raw, 0)
         assert (client_id, n, z) == (5, 291, 2)
         assert raw[16:17] == bytes([0b101])
@@ -72,52 +68,68 @@ class TestCodec:
     def test_golden_bytes_stable(self):
         p = np.zeros(9)
         p[[0, 8]] = [0.5, 0.75]
-        raw = encode_message(2, p, sample_count=3).to_bytes()
+        raw = encode_message(2, p, sample_count=3)
         assert raw.hex() == (
             "02000000" "0300000000000000" "02000000" "0101" "0000003f" "0000403f"
         )
 
-    def test_entries_at_clamp_floor_omitted(self):
-        p = np.array([1e-6, 0.5])
-        msg = encode_message(0, p, sample_count=1, eps=1e-6)
-        assert msg.nonzero_probs == (0.5,)
-        assert decode_message(msg, 2).tolist() == [0.0, 0.5]
-
     def test_bitmap_length_mismatch(self):
-        msg = encode_message(0, np.array([0.5]), sample_count=1)
-        with pytest.raises(ProtocolError):
-            decode_message(msg, 20)
+        raw = encode_message(0, np.array([0.5]), sample_count=1)
+        # At m = 20 the 3-byte bitmap swallows two of the value's bytes.
+        with pytest.raises(ProtocolError, match="expected 1 float32 values, got 2 bytes"):
+            decode_message(raw, 20)
+        with pytest.raises(ProtocolError, match="shorter than header plus bitmap"):
+            decode_message(raw, 2166)
 
     def test_truncated_payload_rejected(self):
-        raw = encode_message(0, np.array([0.5, 0.5]), sample_count=1).to_bytes()
-        with pytest.raises(ProtocolError):
-            UpdateMessage.from_bytes(raw[:-2], 2)
+        raw = encode_message(0, np.array([0.5, 0.5]), sample_count=1)
+        with pytest.raises(ProtocolError, match="expected 2 float32 values, got 6 bytes"):
+            decode_message(raw[:-2], 2)
+        with pytest.raises(ProtocolError, match="expected 2 float32 values, got 12 bytes"):
+            decode_message(raw + bytes(4), 2)
 
     def test_popcount_consistency_enforced(self):
-        with pytest.raises(ProtocolError):
-            UpdateMessage(0, 1, (0.5,), bytes([0b11]))
+        # One bit more than z = 1, then one bit fewer than z = 2 with the
+        # 8 payload bytes that z = 2 asks for.
+        for z, bitmap in ((1, 0b11), (2, 0b01)):
+            raw = struct.pack("<IQI", 0, 1, z) + bytes([bitmap]) + struct.pack(f"<{z}f", *[0.5] * z)
+            with pytest.raises(ProtocolError, match="popcount"):
+                decode_message(raw, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
+        st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, DEFAULT_CLAMP, 1.0])),
+            min_size=1,
+            max_size=64,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=2**64 - 1),
         st.binary(max_size=96),
         st.integers(min_value=0, max_value=40),
     )
-    def test_round_trip_property(self, values, raw, cut):
+    def test_round_trip_property(self, values, client_id, sample_count, raw, cut):
         p = np.array(values)
-        p[p <= 1e-6] = 0.0
-        msg = encode_message(0, p, sample_count=1)
-        assert np.array_equal(decode_message(msg, p.size), p)
-        # Arbitrary bytes, alone or spliced after a valid prefix, either parse
-        # into a message that decodes into [0, 1] or raise ProtocolError.
-        for fuzzed in (raw, msg.to_bytes()[:cut] + raw):
+        m = p.size
+        wire = encode_message(client_id, p, sample_count)
+        msg = decode_message(wire, m)
+        # Entries at or below the clamp floor are omitted and come back as 0;
+        # the rest come back as exactly their float32 value.
+        kept = p > DEFAULT_CLAMP
+        z = int(np.count_nonzero(kept))
+        assert np.array_equal(msg.values, np.where(kept, p.astype(np.float32), 0.0))
+        assert (msg.client_id, msg.sample_count, msg.nonzero_count) == (client_id, sample_count, z)
+        assert len(wire) == 16 + math.ceil(m / 8) + 4 * z
+        # Arbitrary bytes, alone or spliced after a valid prefix, either decode
+        # into a length-m vector in [0, 1] or raise ProtocolError.
+        for fuzzed in (raw, wire[:cut] + raw):
             try:
-                back = UpdateMessage.from_bytes(fuzzed, p.size)
+                back = decode_message(fuzzed, m)
             except ProtocolError:
                 continue
-            decoded = decode_message(back, p.size)
             assert back.sample_count >= 1
-            assert np.all((decoded >= 0.0) & (decoded <= 1.0))
+            assert back.values.shape == (m,)
+            assert np.all((back.values >= 0.0) & (back.values <= 1.0))
 
 
 # (sample_count, value): a reply of that one value, or of a tuple of values.
@@ -131,46 +143,35 @@ MALFORMED = [
 ]
 
 
-def leading_values(value):
-    """The values and a bitmap marking the first len(values) positions."""
-    values = value if isinstance(value, tuple) else (value,)
-    return values, np.packbits(np.ones(len(values), dtype=bool), bitorder="little").tobytes()
-
-
 class TestMessageValidation:
     @pytest.mark.parametrize("sample_count, value", MALFORMED)
-    def test_constructor_refuses(self, sample_count, value):
-        values, bitmap = leading_values(value)
-        with pytest.raises(ProtocolError):
-            UpdateMessage(0, sample_count, values, bitmap)
-
-    @pytest.mark.parametrize("sample_count, value", MALFORMED)
     def test_from_bytes_refuses(self, sample_count, value):
-        values, bitmap = leading_values(value)
+        values = value if isinstance(value, tuple) else (value,)
         z = len(values)
+        bitmap = np.packbits(np.ones(z, dtype=bool), bitorder="little").tobytes()
         raw = struct.pack("<IQI", 0, sample_count, z) + bitmap + struct.pack(f"<{z}f", *values)
-        with pytest.raises(ProtocolError):
-            UpdateMessage.from_bytes(raw, z + 2)
+        match = "sample_count must be positive" if sample_count < 1 else r"finite and in \[0, 1\]"
+        with pytest.raises(ProtocolError, match=match):
+            decode_message(raw, z + 2)
 
     def test_closed_unit_interval_accepted(self):
         raw = struct.pack("<IQI", 0, 1, 2) + bytes([0b101]) + struct.pack("<2f", 0.0, 1.0)
-        back = UpdateMessage.from_bytes(raw, 3)
-        assert decode_message(back, 3).tolist() == [0.0, 0.0, 1.0]
+        assert decode_message(raw, 3).values.tolist() == [0.0, 0.0, 1.0]
 
     def test_bits_beyond_m_refused(self):
-        # Bit 3 lies in the padding of a 3-feature bitmap.
-        raw = struct.pack("<IQI", 0, 1, 1) + bytes([0b1000]) + struct.pack("<f", 0.5)
-        with pytest.raises(ProtocolError):
-            UpdateMessage.from_bytes(raw, 3)
-        with pytest.raises(ProtocolError):
-            decode_message(UpdateMessage(0, 1, (0.5,), bytes([0b1000])), 3)
+        # Bit 3 lies in the padding of a 3-feature bitmap, bit 9 in that of
+        # a 9-feature one.
+        for m, bitmap in ((3, bytes([0b1000])), (9, bytes([0, 0b10]))):
+            raw = struct.pack("<IQI", 0, 1, 1) + bitmap + struct.pack("<f", 0.5)
+            with pytest.raises(ProtocolError, match=f"beyond m={m}"):
+                decode_message(raw, m)
 
 
 class TestOverheadUnits:
     def test_counts_values_weight_and_bitmap_words(self):
         p = np.zeros(2166)
         p[:23] = 0.5
-        msg = encode_message(0, p, sample_count=291)
+        msg = decoded(0, p, sample_count=291)
         # ceil(2166/8) = 271 bytes -> 68 four-byte words.
         assert message_overhead_units(msg, 2166) == 2 * (23 + 1 + 68)
 
@@ -240,23 +241,23 @@ class TestCheckConvergence:
 class TestAggregate:
     def test_equal_partitions_equal_weights(self):
         vectors = [np.full(4, 0.1 * (i + 1)) for i in range(10)]
-        messages = [encode_message(i, v, sample_count=291) for i, v in enumerate(vectors)]
+        messages = [decoded(i, v, sample_count=291) for i, v in enumerate(vectors)]
         expected = np.mean(vectors, axis=0)
-        assert np.allclose(aggregate(messages, 4), expected)
+        assert np.allclose(aggregate(messages), expected)
 
     def test_identical_vectors_fixed_point(self):
         p = np.array([0.25, 0.75])
-        messages = [encode_message(i, p, sample_count=50) for i in range(3)]
-        assert np.allclose(aggregate(messages, 2), p)
+        messages = [decoded(i, p, sample_count=50) for i in range(3)]
+        assert np.array_equal(aggregate(messages), p)
 
     def test_weighted_example(self):
-        m1 = encode_message(0, np.array([1.0, 0.0]), sample_count=100)
-        m2 = encode_message(1, np.array([0.0, 1.0]), sample_count=300)
-        assert np.allclose(aggregate([m1, m2], 2), [0.25, 0.75])
+        m1 = decoded(0, np.array([1.0, 0.0]), sample_count=100)
+        m2 = decoded(1, np.array([0.0, 1.0]), sample_count=300)
+        assert np.allclose(aggregate([m1, m2]), [0.25, 0.75])
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate([], 4)
+            aggregate([])
 
 
 @pytest.fixture
@@ -271,20 +272,20 @@ class TestClientRound:
         params = CEParams(sample_count=30, rng_seed=9)
         client = ClientState(0, tiny_planted, rng_seed=4)
         raw = client_round(client, uniform_probs(4), params, round_index=1)
-        msg = UpdateMessage.from_bytes(raw, 4)
+        msg = decode_message(raw, 4)
         expected = ce_round(
             tiny_planted,
             uniform_probs(4),
             CEParams(sample_count=30, rng_seed=derive_seed(9, 4)),
             round_index=1,
         )
-        assert np.allclose(decode_message(msg, 4), expected, atol=1e-7)
+        assert np.array_equal(msg.values, np.where(expected > DEFAULT_CLAMP, expected.astype(np.float32), 0.0))
         assert msg.sample_count == tiny_planted.n
 
     def test_draw_size_reports_full_partition(self, tiny_planted):
         client = ClientState(0, tiny_planted, rng_seed=4, draw_size=32)
         raw = client_round(client, uniform_probs(4), CEParams(sample_count=10), 1)
-        msg = UpdateMessage.from_bytes(raw, 4)
+        msg = decode_message(raw, 4)
         assert msg.sample_count == 256
 
     def test_feature_count_mismatch(self, tiny_planted):
@@ -296,9 +297,10 @@ class TestClientRound:
         params = CEParams(sample_count=30, rng_seed=9)
         a = ClientState(0, tiny_planted, rng_seed=4)
         b = ClientState(1, tiny_planted, rng_seed=4)
-        msg_a = UpdateMessage.from_bytes(client_round(a, uniform_probs(4), params, 1), 4)
-        msg_b = UpdateMessage.from_bytes(client_round(b, uniform_probs(4), params, 1), 4)
-        assert msg_a.nonzero_probs == msg_b.nonzero_probs
+        raw_a = client_round(a, uniform_probs(4), params, 1)
+        raw_b = client_round(b, uniform_probs(4), params, 1)
+        # Only the header's client id differs.
+        assert raw_a[4:] == raw_b[4:]
 
 
 class TestFaultModel:
@@ -327,7 +329,7 @@ class TestRunFederation:
         # A client whose reply never moves leaves the global vector at a fixed
         # point; the KS test of identical vectors is 1 on consecutive rounds.
         def stub(client, p_global, params, round_index):
-            return encode_message(client.client_id, p_global, client.dataset.n).to_bytes()
+            return encode_message(client.client_id, p_global, client.dataset.n)
 
         monkeypatch.setattr(federation, "client_round", stub)
         report = run_federation([ClientState(0, tiny_planted)], CEParams(sample_count=10))
@@ -403,8 +405,8 @@ class TestRunFederation:
         # Recompute the aggregate from scratch using only the participants.
         fresh = [ClientState(i, parts[i], rng_seed=i) for i in expected_participants]
         replies = [client_round(c, uniform_probs(4), params, 1) for c in fresh]
-        messages = [UpdateMessage.from_bytes(raw, 4) for raw in replies]
-        expected = np.clip(aggregate(messages, 4), 1e-6, 1 - 1e-6)
+        messages = [decode_message(raw, 4) for raw in replies]
+        expected = np.clip(aggregate(messages), 1e-6, 1 - 1e-6)
         assert np.allclose(record.p_global, expected)
 
     def test_broadcast_reaches_faulty_clients(self, tiny_planted):
@@ -421,8 +423,8 @@ class TestRunFederation:
         report = run_federation(clients, params, fault=FaultyOneInRoundOne(), max_rounds=2)
         assert [r.participants for r in report.rounds] == [[0], [0, 1]]
         p1 = report.rounds[0].p_global
-        messages = [UpdateMessage.from_bytes(client_round(c, p1, params, 2), 4) for c in clients]
-        expected = np.clip(aggregate(messages, 4), 1e-6, 1 - 1e-6)
+        messages = [decode_message(client_round(c, p1, params, 2), 4) for c in clients]
+        expected = np.clip(aggregate(messages), 1e-6, 1 - 1e-6)
         assert np.array_equal(report.rounds[1].p_global, expected)
 
     def test_client_round_is_pure(self, tiny_planted):
@@ -535,17 +537,20 @@ class TestWirePath:
         averaged = []
         real_aggregate = federation.aggregate
 
-        def spy_aggregate(messages, m):
+        def spy_aggregate(messages):
             averaged.append(list(messages))
-            return real_aggregate(messages, m)
+            return real_aggregate(messages)
+
+        def fields(msg):
+            return msg.client_id, msg.sample_count, msg.nonzero_count, msg.values.tolist()
 
         monkeypatch.setattr(federation, "aggregate", spy_aggregate)
         report = run_federation(two_clients, CEParams(sample_count=20), max_rounds=3)
-        assert averaged == [
-            [UpdateMessage.from_bytes(raw, 4) for raw in sent[r.round_index]] for r in report.rounds
+        assert [[fields(msg) for msg in msgs] for msgs in averaged] == [
+            [fields(decode_message(raw, 4)) for raw in sent[r.round_index]] for r in report.rounds
         ]
         # Every averaged value is a float32 value, as the wire carries it.
-        values = [v for msgs in averaged for msg in msgs for v in msg.nonzero_probs]
+        values = [v for msgs in averaged for msg in msgs for v in msg.values[msg.values > 0]]
         assert values and all(float(np.float32(v)) == v for v in values)
 
     @pytest.mark.parametrize("corrupt", [truncated, bit_beyond_m])
@@ -555,12 +560,12 @@ class TestWirePath:
         report = run_federation(two_clients, params, max_rounds=1)
         record = report.rounds[0]
         good, bad = sent[1]
-        with pytest.raises(ProtocolError):
-            UpdateMessage.from_bytes(bad, 4)
+        with pytest.raises(ProtocolError, match={truncated: "float32 values", bit_beyond_m: "beyond m=4"}[corrupt]):
+            decode_message(bad, 4)
         assert record.participants == [0, 1]
         assert record.rejected == [1]
         assert record.bytes_sent == len(good) + len(bad)
-        expected = clamp_probs(aggregate([UpdateMessage.from_bytes(good, 4)], 4), params.clamp_eps)
+        expected = clamp_probs(aggregate([decode_message(good, 4)]), params.clamp_eps)
         assert np.array_equal(record.p_global, expected)
 
     def test_reply_naming_another_client_is_rejected(self, two_clients, monkeypatch):
@@ -572,11 +577,11 @@ class TestWirePath:
         report = run_federation(two_clients, params, max_rounds=1)
         record = report.rounds[0]
         good, bad = sent[1]
-        assert UpdateMessage.from_bytes(bad, 4).client_id == 0
+        assert decode_message(bad, 4).client_id == 0
         assert record.participants == [0, 1]
         assert record.rejected == [1]
         assert record.bytes_sent == len(good) + len(bad)
-        expected = clamp_probs(aggregate([UpdateMessage.from_bytes(good, 4)], 4), params.clamp_eps)
+        expected = clamp_probs(aggregate([decode_message(good, 4)]), params.clamp_eps)
         assert np.array_equal(record.p_global, expected)
 
     def test_all_rejected_round_carries_vector_over(self, two_clients, monkeypatch):
