@@ -48,6 +48,15 @@ class TestCodec:
         assert (msg.client_id, msg.sample_count, msg.nonzero_count) == (1, 7, 2)
         assert msg.values.tolist() == [0.5, 0.0, 0.25]
 
+    def test_round_trip_1000_random_vectors(self):
+        rng = np.random.default_rng(77)
+        for _ in range(1000):
+            m = int(rng.integers(1, 40))
+            p = rng.random(m)
+            p[rng.random(m) < 0.3] = 0.0
+            msg = decoded(3, p, sample_count=int(rng.integers(1, 1000)))
+            assert np.array_equal(msg.values, np.where(p > DEFAULT_CLAMP, p.astype(np.float32), 0.0))
+
     def test_byte_round_trip_is_float32(self):
         p = np.array([0.123456789, 0.0, 0.987654321])
         back = decoded(9, p, sample_count=100)
@@ -72,6 +81,13 @@ class TestCodec:
         assert raw.hex() == (
             "02000000" "0300000000000000" "02000000" "0101" "0000003f" "0000403f"
         )
+
+    def test_entries_at_clamp_floor_omitted(self):
+        raw = encode_message(0, np.array([1e-6, 0.5]), sample_count=1, eps=1e-6)
+        assert len(raw) == 16 + 1 + 4
+        msg = decode_message(raw, 2)
+        assert msg.nonzero_count == 1
+        assert msg.values.tolist() == [0.0, 0.5]
 
     def test_bitmap_length_mismatch(self):
         raw = encode_message(0, np.array([0.5]), sample_count=1)
@@ -144,6 +160,21 @@ MALFORMED = [
 
 
 class TestMessageValidation:
+    @pytest.mark.parametrize("sample_count, value", MALFORMED)
+    def test_constructor_refuses(self, sample_count, value):
+        # decode_message is the only constructor of UpdateMessage. An honest
+        # reply keeping the last z of m = z + 2 entries, with its sample count
+        # and values then overwritten by the malformed ones, is refused.
+        values = value if isinstance(value, tuple) else (value,)
+        z = len(values)
+        honest = encode_message(0, np.concatenate([np.zeros(2), np.full(z, 0.5)]), sample_count=1)
+        assert decode_message(honest, z + 2).nonzero_count == z
+        bitmap = honest[16 : len(honest) - 4 * z]
+        raw = struct.pack("<IQI", 0, sample_count, z) + bitmap + struct.pack(f"<{z}f", *values)
+        match = "sample_count must be positive" if sample_count < 1 else r"finite and in \[0, 1\]"
+        with pytest.raises(ProtocolError, match=match):
+            decode_message(raw, z + 2)
+
     @pytest.mark.parametrize("sample_count, value", MALFORMED)
     def test_from_bytes_refuses(self, sample_count, value):
         values = value if isinstance(value, tuple) else (value,)
