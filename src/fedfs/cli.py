@@ -8,7 +8,6 @@ exhausted without convergence. All errors print a line starting with
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from .ce import select_features
 from .config import ExperimentConfig, parse_config
-from .datasets import generate_planted, load_csv, partition_iid, save_csv
+from .datasets import generate_planted, load_csv, partition_iid, save_csv, write_csv
 from .federation import UNIT_BYTES, ClientState, FaultModel, derive_seed, run_federation
 from .info import DiscreteDataset
 from .metrics import SelectionSummary, cache_accumulate, compression_ratio
@@ -55,13 +54,6 @@ def _build_clients(dataset: DiscreteDataset, config: ExperimentConfig) -> list[C
     ]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def run_experiment(config: ExperimentConfig) -> int:
     """Run one centralized or federated experiment; write CSVs and plots."""
     dataset = _build_dataset(config)
@@ -80,7 +72,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     selected = set(report.selected)
-    _write_csv(
+    write_csv(
         out_dir / "selection.csv",
         ["feature", "probability", "selected"],
         [[i, repr(float(p)), int(i in selected)] for i, p in enumerate(report.final_p)],
@@ -101,7 +93,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 ";".join(str(i) for i in record.rejected),
             ]
         )
-    _write_csv(
+    write_csv(
         out_dir / "rounds.csv",
         ["round", "ks_p_value", "selected_count", "participants", "cum_overhead_units",
          "cum_overhead_bytes", "rejected"],
@@ -111,7 +103,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     record_bytes = config.record_bytes if config.record_bytes is not None else 4 * (dataset.m + 1)
     cache_total = sum(cache_accumulate(report, record_bytes).values())
     summary = SelectionSummary(frozenset(report.selected), dataset.m)
-    _write_csv(
+    write_csv(
         out_dir / "summary.csv",
         ["rounds", "selected_count", "total_features", "compression_pct",
          "overhead_units", "overhead_bytes", "cache_bytes", "converged"],
@@ -156,7 +148,7 @@ def run_bounds(config: ExperimentConfig) -> int:
         rows.append([t, repr(float(bound)), repr(float(rates[t - 1]))])
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "bounds.csv", ["t_prime", "bound", "monte_carlo_rate"], rows)
+    write_csv(out_dir / "bounds.csv", ["t_prime", "bound", "monte_carlo_rate"], rows)
     return EXIT_OK
 
 

@@ -76,9 +76,7 @@ def generate_planted(spec: PlantedSpec) -> DiscreteDataset:
     """
     rng = np.random.default_rng(spec.rng_seed)
     k = len(spec.relevant)
-    combos = np.array(
-        [[(c >> bit) & 1 for bit in range(k)] for c in range(2**k)], dtype=np.int64
-    )
+    combos = (np.arange(2**k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
     reps = spec.n // combos.shape[0]
     rows = np.repeat(combos, reps, axis=0)
     remainder = spec.n - rows.shape[0]
@@ -88,19 +86,13 @@ def generate_planted(spec: PlantedSpec) -> DiscreteDataset:
     rows = rows[rng.permutation(spec.n)]
 
     features = np.zeros((spec.n, spec.m), dtype=np.uint8)
-    for pos, col in enumerate(spec.relevant):
-        features[:, col] = rows[:, pos]
-    for dup, src in spec.redundant.items():
-        features[:, dup] = features[:, src]
+    features[:, list(spec.relevant)] = rows
+    features[:, list(spec.redundant)] = features[:, list(spec.redundant.values())]
     for col in spec.noise:
         features[:, col] = rng.integers(0, 2, size=spec.n)
 
-    total = rows.sum(axis=1)
-    if spec.label_rule == "xor":
-        labels = total % 2
-    else:
-        labels = total % spec.modulus
-    return DiscreteDataset(features, labels)
+    modulus = 2 if spec.label_rule == "xor" else spec.modulus
+    return DiscreteDataset(features, rows.sum(axis=1) % modulus)
 
 
 def partition_iid(dataset: DiscreteDataset, count: int, rng_seed: int = 0) -> list[DiscreteDataset]:
@@ -113,70 +105,80 @@ def partition_iid(dataset: DiscreteDataset, count: int, rng_seed: int = 0) -> li
         raise ValueError("partition count must be positive")
     if count > dataset.n:
         raise ValueError("cannot make more partitions than rows")
-    order = np.random.default_rng(rng_seed).permutation(dataset.n)
-    per_part = dataset.n // count
-    kept = order[: per_part * count]
+    kept = np.random.default_rng(rng_seed).permutation(dataset.n)[: dataset.n // count * count]
     return [
-        DiscreteDataset(
-            dataset.features[kept[i::count]],
-            dataset.labels[kept[i::count]],
-            dataset.feature_names,
-        )
-        for i in range(count)
+        DiscreteDataset(dataset.features[part], dataset.labels[part], dataset.feature_names)
+        for part in (kept[i::count] for i in range(count))
     ]
 
 
-def load_csv(
-    path: str | Path,
-    label_column: str = "label",
-    bins: int = 10,
-) -> DiscreteDataset:
+def load_csv(path: str | Path, label_column: str = "label", bins: int = 10) -> DiscreteDataset:
     """Read a headered CSV into a dataset, each feature column cut into ``bins`` bins.
 
-    Cells must be numeric; labels are taken as integers. Errors name the
-    offending row and column.
+    The header is read with :mod:`csv`, the body with one ``np.loadtxt``.
+    Errors name the file and, for a bad cell, its data row and column.
     """
     path = Path(path)
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ValueError(f"{path}: missing label column {label_column!r}")
-        label_idx = header.index(label_column)
-        rows: list[list[float]] = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            parsed = []
-            for c, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: non-numeric cell at row {r}, column {c}") from None
-            rows.append(parsed)
-    if not rows:
+        header = next(csv.reader(handle), None)
+        lines = handle.readlines()
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if header.count(label_column) != 1:
+        raise ValueError(f"{path}: need one {label_column!r} column, found {header.count(label_column)}")
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    matrix = np.asarray(rows, dtype=np.float64)
-    labels = matrix[:, label_idx]
-    if np.any(labels != np.floor(labels)) or np.any(labels < 0):
-        raise ValueError(f"{path}: label column must hold non-negative integers")
-    feature_cols = [i for i in range(len(header)) if i != label_idx]
-    names = tuple(header[i] for i in feature_cols)
-    codes = discretize(matrix[:, feature_cols], bins)
-    return DiscreteDataset(codes, labels.astype(np.int64), names)
+    # csv reads a blank line as a row of no cells, which np.loadtxt would skip.
+    if any(not line.strip("\r\n") for line in lines):
+        _locate_bad_row(path, lines, len(header))
+    try:
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:
+        _locate_bad_row(path, lines, len(header))
+        raise ValueError(f"{path}: {exc}") from None
+    label_idx = header.index(label_column)
+    names = header[:label_idx] + header[label_idx + 1 :]
+    try:
+        codes = discretize(np.delete(matrix, label_idx, axis=1), bins)
+        return DiscreteDataset(codes, matrix[:, label_idx], names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _locate_bad_row(path: Path, lines: list[str], width: int) -> None:
+    """Raise for the first data row with a wrong cell count or a cell np.loadtxt refuses, if any."""
+    for r, row in enumerate(csv.reader(lines)):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        if not _numeric(row):
+            c = next(c for c, cell in enumerate(row) if not _numeric([cell]))
+            raise ValueError(f"{path}: non-numeric cell at row {r}, column {c}")
+
+
+def _numeric(cells: list[str]) -> bool:
+    """Whether np.loadtxt reads each of ``cells``, quoted as one field, as a float."""
+    line = ",".join('"' + cell.replace('"', '""') + '"' for cell in cells)
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, quotechar='"')
+    except ValueError:
+        return False
+    return True
 
 
 def save_csv(dataset: DiscreteDataset, path: str | Path, label_column: str = "label") -> None:
-    """Write a dataset as a headered CSV with one label column."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
+    """Write a dataset as a headered CSV with one label column, which no feature may share."""
+    if label_column in dataset.feature_names:
+        raise ValueError(f"{path}: a feature is named like the label column {label_column!r}")
+    rows = np.column_stack([dataset.features, dataset.labels]).tolist()
+    write_csv(path, [*dataset.feature_names, label_column], rows)
+
+
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Write a header row, then ``rows``, as CSV."""
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(dataset.feature_names) + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([int(v) for v in row] + [int(label)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def preset_planted_spec(preset: str, rng_seed: int = 0) -> PlantedSpec:

@@ -166,26 +166,29 @@ def discretize(real_matrix: np.ndarray, bins: int = 10) -> np.ndarray:
 
     A value at the boundary between two bins goes to the upper bin; the
     column maximum goes to the last bin. Constant columns map to bin 0.
+    All columns are binned in one pass, each as ``(x - lo) / (hi - lo) * bins``.
     """
     data = np.asarray(real_matrix, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("input matrix must be 2-D")
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
-    n, m = data.shape
-    codes = np.zeros((n, m), dtype=np.int64)
-    for j in range(m):
-        col = data[:, j]
-        if not np.all(np.isfinite(col)):
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    # The first column at fault: a non-finite value, too few bins or an overflowing span.
+    faults = ~np.isfinite(span) | ((span != 0) & (bins < 2))
+    if faults.any():
+        j = int(faults.argmax())
+        if not np.isfinite([lo[j], hi[j]]).all():
             raise ValueError(f"non-finite value in column {j}")
-        lo, hi = col.min(), col.max()
-        if hi == lo:
-            continue
         if bins < 2:
             raise ValueError(f"column {j} varies but has fewer than 2 bins")
-        scaled = (col - lo) / (hi - lo) * bins
-        codes[:, j] = np.clip(np.floor(scaled).astype(np.int64), 0, bins - 1)
-    return codes
+        raise ValueError(f"column {j} range overflows float64")
+    scaled = data - lo
+    scaled /= np.where(span == 0, 1.0, span)
+    scaled *= bins
+    return np.clip(np.floor(scaled, out=scaled), 0, bins - 1, out=scaled).astype(np.int64)
 
 
 def entropy(labels: np.ndarray | Sequence[int]) -> float:

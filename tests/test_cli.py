@@ -363,3 +363,14 @@ class TestGenPlantedCommand:
         assert main(["gen-planted", str(cfg)]) == 0
         assert (load_csv(target).n, load_csv(target).m) == (64, 4)
         assert not (tmp_path / "out").exists()
+
+    def test_label_column_named_like_a_feature_refused(self, tmp_path, capsys):
+        target = tmp_path / "planted.csv"
+        cfg = write_config(
+            tmp_path,
+            "planted_m = 4\nplanted_n = 64\nplanted_relevant = 0,1\nlabel_column = f0\n"
+            f"csv_path = {target}\n",
+        )
+        assert main(["gen-planted", str(cfg)]) == 1
+        assert "'f0'" in capsys.readouterr().err
+        assert not target.exists()

@@ -1,6 +1,7 @@
 """Planted generators, iid partitioning, and CSV ingestion."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,83 @@ class TestCsvIo:
         path.write_text("a,label\n1,0.5\n")
         with pytest.raises(ValueError, match="label"):
             load_csv(path)
+
+    def test_label_message_names_the_file(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("a,label\n1,0\n2,-1\n")
+        with pytest.raises(ValueError, match=r"neg\.csv: label values must be non-negative"):
+            load_csv(path)
+
+    def test_huge_label_refused_without_numpy_warning(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,label\n1,0\n2,1e30\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"huge\.csv: label values must be below 2\*\*63"):
+                load_csv(path)
+
+    def test_label_column_named_twice_refused(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("label,label\n1,0\n2,1\n")
+        with pytest.raises(ValueError, match=r"twice\.csv: need one 'label' column, found 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("names, label_column", [(("label", "b"), "label"), ((), "f0")])
+    def test_save_refuses_feature_named_like_label(self, tmp_path, names, label_column):
+        ds = DiscreteDataset(np.array([[0, 1], [1, 0]]), np.array([0, 1]), names)
+        path = tmp_path / "clash.csv"
+        with pytest.raises(ValueError, match=f"clash\\.csv: .*{label_column!r}"):
+            save_csv(ds, path, label_column)
+        assert not path.exists()
+
+    def test_mav_shaped_load_memory_bounded(self, tmp_path):
+        # The float64 matrix is 8 n m bytes; loading may hold a few such arrays at once.
+        spec = preset_planted_spec("mav")
+        ds = generate_planted(spec)
+        path = tmp_path / "mav.csv"
+        save_csv(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path, bins=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * spec.n * spec.m
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.labels, ds.labels)
+
+
+# Each CSV body (under the header "a,b,label") with the outcome of the
+# earlier per-cell float() reader: the codes and labels at 4 bins, or the
+# refusal. Only "1_0" changed: float() read it as 10, np.loadtxt refuses it.
+# Every refusal now starts with the file's path.
+CSV_PARITY = {
+    "blank middle row": ("1,2,0\n\n3,4,1\n", "row 1 has 0 cells, expected 3"),
+    "quoted number": ('"1",2,0\n3,"4",1\n', ([[0, 0], [3, 3]], [0, 1])),
+    "empty cell": ("1,,0\n", "non-numeric cell at row 0, column 1"),
+    "hash cell": ("1,2,0\n#1,2,0\n", "non-numeric cell at row 1, column 0"),
+    "padded spaces": (" 1 , 2 ,0\n3,4, 1 \n", ([[0, 0], [3, 3]], [0, 1])),
+    "nan column": ("nan,1,0\nnan,2,1\n", "non-finite value in column 0"),
+    "header only": ("", "no data rows"),
+    "crlf": ("1,2,0\r\n3,4,1\r\n", ([[0, 0], [3, 3]], [0, 1])),
+    "trailing comma": ("1,2,0,\n", "row 0 has 4 cells, expected 3"),
+    "underscore digits": ("1_0,2,0\n3,4,1\n", "non-numeric cell at row 0, column 0"),
+}
+
+
+@pytest.mark.parametrize("body, outcome", CSV_PARITY.values(), ids=CSV_PARITY.keys())
+def test_csv_parity(tmp_path, body, outcome):
+    path = tmp_path / "case.csv"
+    path.write_bytes(("a,b,label\n" + body).encode())
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as info:
+            load_csv(path, bins=4)
+        assert str(info.value) == f"{path}: {outcome}"
+    else:
+        ds = load_csv(path, bins=4)
+        assert ds.features.tolist() == outcome[0]
+        assert ds.labels.tolist() == outcome[1]
+        assert ds.feature_names == ("a", "b")
 
 
 class TestPresets:

@@ -39,6 +39,19 @@ def oracle_conditional_entropy(features, labels, mask) -> float:
     return sum(len(g) / n * oracle_entropy(g) for g in groups.values())
 
 
+def reference_discretize(data: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-width binning one column at a time, as fedfs first did it."""
+    codes = np.zeros(data.shape, dtype=np.int64)
+    for j in range(data.shape[1]):
+        col = data[:, j]
+        lo, hi = col.min(), col.max()
+        if hi == lo:
+            continue
+        scaled = (col - lo) / (hi - lo) * bins
+        codes[:, j] = np.clip(np.floor(scaled).astype(np.int64), 0, bins - 1)
+    return codes
+
+
 class TestDiscretize:
     def test_two_point_extremes(self):
         codes = discretize(np.array([[0.0], [1.0]]), 2)
@@ -66,6 +79,52 @@ class TestDiscretize:
             discretize(np.array([[5.0], [5.0]]), 0)
         with pytest.raises(ValueError, match="column 1"):
             discretize(np.array([[5.0, 0.0], [5.0, 1.0]]), 1)
+
+    def test_overflowing_range_rejected_with_column(self):
+        wide = np.array([[0.0, -1e308], [0.0, 0.0], [0.0, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="column 1 range overflows"):
+                discretize(wide, 4)
+
+    def test_first_faulty_column_reported(self):
+        # Column order decides which fault is reported, as a column-by-column loop would.
+        with pytest.raises(ValueError, match="column 0 varies"):
+            discretize(np.array([[0.0, np.nan], [1.0, 2.0]]), 1)
+        with pytest.raises(ValueError, match="non-finite value in column 0"):
+            discretize(np.array([[np.inf, 0.0], [1.0, 1e308], [1.0, -1e308]]), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda m: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.one_of(
+                            st.floats(-1e6, 1e6, allow_nan=False),
+                            st.integers(-8, 8).map(lambda k: k / 4),
+                        ),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    min_size=1,
+                    max_size=20,
+                ),
+                st.lists(st.booleans(), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(2, 40),
+    )
+    def test_matches_column_loop(self, rows_and_constant, bins):
+        rows, constant = rows_and_constant
+        data = np.array(rows, dtype=np.float64)
+        data[:, constant] = data[0, constant]
+        assert np.array_equal(discretize(data, bins), reference_discretize(data, bins))
+        # Values on the bin edges of each column's range.
+        edges = data.min(axis=0) + np.arange(bins + 1)[:, None] * np.ptp(data, axis=0) / bins
+        assert np.array_equal(discretize(edges, bins), reference_discretize(edges, bins))
+        codes = discretize(data, bins)
+        assert codes.dtype == np.int64 and codes.min() >= 0 and codes.max() < bins
 
 
 class TestEntropy:
