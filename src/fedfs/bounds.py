@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ce import CEParams, alpha_schedule, ce_update, sample_masks, uniform_probs
+from .ce import CEParams, alpha_schedule, elite_update, rank_masks, sample_masks, uniform_probs
 from .info import NEG_CLAMP, DiscreteDataset, evaluate_objective
 
 
@@ -82,6 +82,13 @@ def centralized_miss_bound(inputs: BoundInputs) -> float:
     return min(max(bound, 0.0), 1.0)
 
 
+def candidate_masks(m: int) -> np.ndarray:
+    """All 2^m masks over m <= 4 features; row i holds the bits of i, feature j at bit j."""
+    if m > 4:
+        raise ValueError("exhaustive search supports at most 4 features")
+    return ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+
+
 def find_optimal_mask(dataset: DiscreteDataset) -> np.ndarray:
     """Exhaustively locate the unique minimal-cardinality objective minimizer.
 
@@ -89,13 +96,14 @@ def find_optimal_mask(dataset: DiscreteDataset) -> np.ndarray:
     optimal mask scores the same); a tie at the minimal cardinality means
     the optimum is not unique and is rejected.
     """
-    if dataset.m > 4:
-        raise ValueError("exhaustive search supports at most 4 features")
-    codes = np.arange(2**dataset.m)[:, None]
-    candidates = ((codes >> np.arange(dataset.m)) & 1).astype(np.uint8)
+    candidates = candidate_masks(dataset.m)
+    return _unique_optimum(candidates, evaluate_objective(dataset, candidates))
+
+
+def _unique_optimum(candidates: np.ndarray, objectives: np.ndarray) -> np.ndarray:
     best_value = math.inf
     masks = []
-    for mask, value in zip(candidates, evaluate_objective(dataset, candidates).tolist()):
+    for mask, value in zip(candidates, objectives.tolist()):
         if value < best_value - NEG_CLAMP:
             best_value = value
             masks = [mask]
@@ -119,14 +127,20 @@ def miss_rate_curve(
 
     Trial s uses streams derived from (params.rng_seed, s, round); a trial
     misses horizon t' when none of its samples up to round t' equals the
-    exhaustively-found optimum. A round before t_max that misses updates p
-    with the same :func:`fedfs.ce.ce_update` the optimizer runs; a round
-    that hits stops the trial before any mask is scored, and the last round
-    scores nothing because no later sample would use its update.
+    exhaustively-found optimum. All 2^m masks are ranked once by
+    :func:`fedfs.ce.rank_masks`, whose key does not depend on the batch, so
+    the table orders any round as ``ce_update`` would. A round before t_max
+    that misses runs the optimizer's :func:`fedfs.ce.elite_update` on ranks
+    read from it; a hit stops the trial, and the last round updates nothing
+    because no later sample would use its update.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
-    optimum = find_optimal_mask(dataset)
+    candidates = candidate_masks(dataset.m)
+    objectives = evaluate_objective(dataset, candidates)
+    optimum = _unique_optimum(candidates, objectives)
+    table = rank_masks(candidates, objectives)
+    bit_values = 1 << np.arange(dataset.m)
     init = uniform_probs(dataset.m) if p0 is None else np.asarray(p0, dtype=np.float64)
     # The round each trial first hits; t_max + 1 if it never does.
     hit_rounds = np.full(trials, t_max + 1)
@@ -138,7 +152,6 @@ def miss_rate_curve(
                 hit_rounds[s] = t
                 break
             if t < t_max:
-                p = ce_update(dataset, p, masks, params, t)
+                p = elite_update(p, masks, table[masks @ bit_values], params, t)
     misses = np.count_nonzero(hit_rounds > np.arange(1, t_max + 1)[:, None], axis=1)
     return [float(c) / trials for c in misses]
-

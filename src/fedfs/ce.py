@@ -13,6 +13,9 @@ elite and the update would lose its selection pressure; with them only
 identical masks tie, and every client breaks ties between equally small,
 equally informative subsets the same way. The digest is a hash, so the
 tie-break favours no feature position.
+
+The elite step, :func:`elite_update`, reads only the order of its ranks:
+:func:`ce_update` ranks a batch for it, :mod:`fedfs.bounds` reads a table.
 """
 
 from __future__ import annotations
@@ -119,8 +122,12 @@ def compute_gamma(objectives: Sequence[float], beta: float) -> float:
         raise ValueError("objectives must be non-empty")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must be in (0, 1)")
-    idx = math.ceil((1.0 - beta) * len(values)) - 1
-    return values[min(max(idx, 0), len(values) - 1)]
+    return values[_cutoff(len(values), beta)]
+
+
+def _cutoff(size: int, beta: float) -> int:
+    """Index ceil((1-beta)*size)-1 of the nearest-rank percentile, clamped into range."""
+    return min(max(math.ceil((1.0 - beta) * size) - 1, 0), size - 1)
 
 
 def update_probabilities(
@@ -149,6 +156,24 @@ def update_probabilities(
     return clamp_probs((1.0 - alpha) * p + alpha * freq, eps)
 
 
+def elite_update(
+    p: np.ndarray, masks: np.ndarray, ranks: Sequence[int], params: CEParams, round_index: int
+) -> np.ndarray:
+    """Pull p toward the elite of ranked masks: alpha by mode, percentile, update.
+
+    ``ranks`` order the (S, m) batch best first; only that order matters, so
+    any order-preserving map of them gives the same elite: the best
+    ceil((1-beta)*S) masks, plus every mask ranked equal to the last of them.
+    ``round_index`` only sets alpha under the "schedule" mode.
+    """
+    if params.alpha_mode == "schedule":
+        alpha = alpha_schedule(round_index, len(p))
+    else:
+        alpha = params.alpha
+    gamma = compute_gamma(ranks, params.beta)
+    return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)
+
+
 def ce_update(
     dataset: DiscreteDataset,
     p: np.ndarray,
@@ -158,32 +183,36 @@ def ce_update(
 ) -> np.ndarray:
     """Score already-sampled masks and pull p toward their elite.
 
-    Runs check -> score -> rank -> percentile -> update. The (S, m) batch is
-    checked once, and each distinct mask in it is scored and ranked once: one
-    :func:`evaluate_objective` and one :func:`rank_masks` call over the first
-    copies, whose ranks every copy then shares. A mask scores the same bits
-    alone or in any batch, and copies share a rank anyway, so the ranks are
-    those of scoring all S. The percentile and the elite are taken over the S
-    ranks, not raw objectives: the elite is the best ceil((1-beta)*S) masks,
-    plus any copies of the last of them. ``round_index`` only sets alpha
-    under the "schedule" mode.
+    The (S, m) batch is checked once and each distinct mask in it is scored
+    once, by one :func:`evaluate_objective` call. The elite is that of
+    :func:`rank_masks` over all S: the distinct masks are ordered on
+    (rounded objective, popcount), copies counted, up to the mask at the
+    ceil((1-beta)*S) cutoff, and digests are taken only for the masks tied
+    with it on both keys. :func:`elite_update` then gets rank 0 for the
+    elite and 1 for the rest.
     """
     checked = validate_mask(masks, dataset.m, ndim=2)
-    if params.alpha_mode == "schedule":
-        alpha = alpha_schedule(round_index, dataset.m)
-    else:
-        alpha = params.alpha
-    # Each mask's first copy, keyed on its packed bits.
-    first: dict[bytes, int] = {}
     bits = np.packbits(checked, axis=1)
-    owner = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
-    distinct = list(first.values())
-    unique = checked[distinct]
-    ranks = np.empty(len(owner), dtype=np.int64)
-    ranks[distinct] = rank_masks(unique, evaluate_objective(dataset, unique))
-    ranks = ranks[owner]
-    gamma = compute_gamma(ranks, params.beta)
-    return update_probabilities(p, checked, ranks, gamma, alpha, params.clamp_eps)
+    rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
+    unique = checked[first]
+    # Python's round, as rank_masks keys it; np.round rounds differently.
+    objectives = np.array([round(v, 12) for v in evaluate_objective(dataset, unique).tolist()])
+    counts = unique.sum(axis=1)
+    order = np.lexsort((counts, objectives))
+    cut = _cutoff(len(owner), params.beta)
+    # The distinct mask whose copies cover sorted position `cut`.
+    edge = order[np.argmax(np.cumsum(copies[order]) > cut)]
+    same = objectives == objectives[edge]
+    elite = (objectives < objectives[edge]) | (same & (counts < counts[edge]))
+    # The cutoff falls among the masks tied with the edge on both keys; digests order them.
+    tied = np.flatnonzero(same & (counts == counts[edge]))
+    digests = [hashlib.blake2b(bits[first[i]].tobytes(), digest_size=8).digest() for i in tied]
+    by_digest = sorted(range(tied.size), key=digests.__getitem__)
+    covered = np.cumsum(copies[tied[by_digest]]) > cut - copies[elite].sum()
+    last = digests[by_digest[np.argmax(covered)]]
+    elite[tied] = [d <= last for d in digests]
+    return elite_update(p, checked, np.where(elite[owner], 0, 1), params, round_index)
 
 
 def ce_round(

@@ -147,19 +147,45 @@ def load_csv(path: str | Path, label_column: str = "label", bins: int = 10) -> D
 
 def _locate_bad_row(path: Path, lines: list[str], width: int) -> None:
     """Raise for the first data row with a wrong cell count or a cell np.loadtxt refuses, if any."""
-    for r, row in enumerate(csv.reader(lines)):
+    rows = []
+    ragged = None
+    for row in csv.reader(lines):
         if len(row) != width:
-            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        if not _numeric(row):
-            c = next(c for c, cell in enumerate(row) if not _numeric([cell]))
-            raise ValueError(f"{path}: non-numeric cell at row {r}, column {c}")
+            ragged = row
+            break
+        rows.append(row)
+    r = _first_refused(rows)
+    if r is not None:
+        c = _first_refused([[cell] for cell in rows[r]])
+        raise ValueError(f"{path}: non-numeric cell at row {r}, column {c}")
+    if ragged is not None:
+        raise ValueError(f"{path}: row {len(rows)} has {len(ragged)} cells, expected {width}")
 
 
-def _numeric(cells: list[str]) -> bool:
-    """Whether np.loadtxt reads each of ``cells``, quoted as one field, as a float."""
-    line = ",".join('"' + cell.replace('"', '""') + '"' for cell in cells)
+_BLOCK_ROWS = 64
+
+
+def _first_refused(rows: list[list[str]]) -> int | None:
+    """Index of the first of ``rows`` (all of one width) that np.loadtxt refuses, or None.
+
+    Rows are read ``_BLOCK_ROWS`` per call, then one per call inside the first refused block.
+    """
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        if not _numeric(block):
+            return start + next(r for r, row in enumerate(block) if not _numeric([row]))
+    return None
+
+
+def _numeric(rows: list[list[str]]) -> bool:
+    """Whether np.loadtxt reads each cell of ``rows``, quoted as one field, as a float."""
+    lines = []
+    for row in rows:
+        if '"' in "".join(row):
+            row = [cell.replace('"', '""') for cell in row]
+        lines.append('"' + '","'.join(row) + '"')
     try:
-        np.loadtxt([line], delimiter=",", comments=None, quotechar='"')
+        np.loadtxt(lines, delimiter=",", comments=None, quotechar='"')
     except ValueError:
         return False
     return True

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fedfs.bounds as bounds
 import fedfs.ce as ce
@@ -18,6 +20,49 @@ from fedfs.bounds import (
 from fedfs.ce import CEParams
 from fedfs.datasets import PlantedSpec, generate_planted
 from fedfs.info import DiscreteDataset
+
+
+def ce_update_curve(dataset, params, t_max, trials, p0):
+    """miss_rate_curve as a loop that runs ce.ce_update on every missed round before t_max."""
+    optimum = find_optimal_mask(dataset)
+    first_hits = []
+    for s in range(trials):
+        p = ce.uniform_probs(dataset.m) if p0 is None else p0
+        first_hit = t_max + 1
+        for t in range(1, t_max + 1):
+            masks = ce.sample_masks(p, params.sample_count, [params.rng_seed, s, t])
+            if any(row.tolist() == optimum.tolist() for row in masks):
+                first_hit = t
+                break
+            if t < t_max:
+                p = ce.ce_update(dataset, p, masks, params, t)
+        first_hits.append(first_hit)
+    return [sum(h > t for h in first_hits) / trials for t in range(1, t_max + 1)]
+
+
+@st.composite
+def unique_optimum_cases(draw):
+    """(dataset, params, t_max, p0) on m = 1..4 features whose optimum is unique."""
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 64))
+    features = rng.integers(0, draw(st.integers(2, 3)), size=(n, m))
+    relevant = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+    labels = features[:, relevant].sum(axis=1) % draw(st.integers(2, 3))
+    dataset = DiscreteDataset(features, labels)
+    try:
+        find_optimal_mask(dataset)
+    except ValueError:
+        assume(False)
+    params = CEParams(
+        sample_count=draw(st.integers(2, 8)),
+        beta=draw(st.sampled_from([0.5, 0.75, 0.9, 0.99])),
+        alpha=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        alpha_mode=draw(st.sampled_from(["fixed", "schedule"])),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+    p0 = None if draw(st.booleans()) else rng.uniform(0.05, 0.95, size=m)
+    return dataset, params, draw(st.integers(1, 4)), p0
 
 
 class TestAlphaSchedule:
@@ -129,10 +174,10 @@ class TestMonteCarlo:
         assert all(b <= a for a, b in zip(curve, curve[1:]))
 
     def test_misses_run_the_shipped_ce_update(self, xor_noise_dataset, monkeypatch):
-        # A trial updates in round t < t_max exactly when it missed every
-        # round up to t, and each update ranks the elite; a hit round, and the
-        # last round, score nothing.
-        assert bounds.ce_update is ce.ce_update
+        # All 2^m masks are ranked once per curve. A trial runs the
+        # optimizer's elite step in round t < t_max exactly when it missed
+        # every round up to t; a hit round, and the last round, update nothing.
+        assert bounds.elite_update is ce.elite_update
         calls = {"update": 0, "rank": 0}
 
         def counting(name, fn):
@@ -142,12 +187,19 @@ class TestMonteCarlo:
 
             return wrapper
 
-        monkeypatch.setattr(bounds, "ce_update", counting("update", ce.ce_update))
-        monkeypatch.setattr(ce, "rank_masks", counting("rank", ce.rank_masks))
+        monkeypatch.setattr(bounds, "elite_update", counting("update", ce.elite_update))
+        monkeypatch.setattr(bounds, "rank_masks", counting("rank", ce.rank_masks))
         params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=404)
         curve = miss_rate_curve(xor_noise_dataset, params, 5, 200)
         assert calls["update"] == round(200 * sum(curve[:-1])) > 0
-        assert calls["rank"] == calls["update"]
+        assert calls["rank"] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(unique_optimum_cases())
+    def test_equals_ce_update_on_every_miss(self, case):
+        dataset, params, t_max, p0 = case
+        expected = ce_update_curve(dataset, params, t_max, 100, p0)
+        assert miss_rate_curve(dataset, params, t_max, 100, p0) == expected
 
     def test_alpha_schedule_shared_with_ce(self):
         assert alpha_schedule is ce.alpha_schedule

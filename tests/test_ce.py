@@ -16,6 +16,7 @@ from fedfs.ce import (
     ce_update,
     clamp_probs,
     compute_gamma,
+    elite_update,
     evaluate_objective,
     rank_masks,
     sample_masks,
@@ -322,25 +323,68 @@ class TestDistinctMasks:
         assert ce_update(dataset, p, masks, params, round_index).tolist() == expected.tolist()
 
     def test_each_distinct_mask_scored_and_ranked_once(self, xor_noise_dataset, monkeypatch):
+        # One objective call over the distinct masks; ce_update ranks them
+        # itself, without rank_masks, and hands the elite to elite_update.
         seen = []
 
         def rows(batch):
-            return [tuple(int(b) for b in row) for row in batch]
+            return sorted(tuple(int(b) for b in row) for row in batch)
 
         def scoring(dataset, batch):
             seen.append(("score", rows(batch)))
             return evaluate_objective(dataset, batch)
 
-        def ranking(batch, values):
-            seen.append(("rank", rows(batch)))
-            return rank_masks(batch, values)
+        def updating(p, batch, ranks, params, round_index):
+            seen.append(("update", len(batch)))
+            return elite_update(p, batch, ranks, params, round_index)
+
+        def no_ranking(*args):
+            raise AssertionError("ce_update called rank_masks")
 
         monkeypatch.setattr(ce, "evaluate_objective", scoring)
-        monkeypatch.setattr(ce, "rank_masks", ranking)
+        monkeypatch.setattr(ce, "rank_masks", no_ranking)
+        monkeypatch.setattr(ce, "elite_update", updating)
         masks = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
         ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6), 1)
-        distinct = [(1, 0, 1), (0, 0, 0), (1, 1, 0)]
-        assert seen == [("score", distinct), ("rank", distinct)]
+        distinct = sorted([(1, 0, 1), (0, 0, 0), (1, 1, 0)])
+        assert seen == [("score", distinct), ("update", 6)]
+
+
+class TestCutoffTie:
+    """The ceil((1-beta)*S) cutoff inside masks equal on objective and popcount."""
+
+    # A constant label scores every mask 0, so popcount and then the digest
+    # order the masks: the empty mask, then the three one-feature masks, each
+    # twice, then the two-feature ones. Copies are spread through the batch.
+    DATASET = DiscreteDataset(np.array([[0, 1, 0], [1, 1, 0], [1, 0, 1], [0, 0, 1]]), np.zeros(4, dtype=int))
+    MASKS = np.array(
+        [[0, 1, 0], [1, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 1]]
+    )
+
+    @pytest.mark.parametrize("cut", range(9))
+    def test_equals_scoring_every_copy(self, cut):
+        # beta puts the cutoff at sorted position `cut`; positions 1-6 are the tied one-feature masks.
+        params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
+        p = np.array([0.3, 0.5, 0.8])
+        expected = score_every_copy(self.DATASET, p, self.MASKS, params, 1)
+        assert ce_update(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("cut", [1, 2, 4, 6])
+    def test_colliding_digests_take_the_whole_tie_group(self, cut, monkeypatch):
+        class Constant:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def digest(self):
+                return b"\x00" * 8
+
+        monkeypatch.setattr(ce.hashlib, "blake2b", Constant)
+        params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
+        p = np.array([0.3, 0.5, 0.8])
+        # Every mask of popcount <= 1 is elite.
+        expected = update_probabilities(p, self.MASKS, self.MASKS.sum(axis=1), 1, 0.7)
+        assert score_every_copy(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
+        assert ce_update(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
 
 
 class TestSelectFeatures:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedfs import datasets
 from fedfs.datasets import (
     PlantedSpec,
     generate_planted,
@@ -15,6 +16,20 @@ from fedfs.datasets import (
     save_csv,
 )
 from fedfs.info import DiscreteDataset, conditional_entropy, entropy, mutual_information
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The line count of each np.loadtxt call made while the test runs."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, *args, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(datasets.np, "loadtxt", counting)
+    return calls
 
 
 class TestPlantedSpec:
@@ -157,6 +172,32 @@ class TestCsvIo:
         )
         with pytest.raises(ValueError, match="row 2, column 3"):
             load_csv(path)
+
+    @pytest.mark.parametrize("bad_row", [0, 63, 64, 150])
+    def test_bad_cell_located_a_block_at_a_time(self, tmp_path, loadtxt_calls, bad_row):
+        # One np.loadtxt over the body fails; the rows before the bad one are
+        # then read a block per call, the failing block a row per call, and
+        # the bad row's cells the same way.
+        rows = [["1", "2", "0"] for _ in range(200)]
+        rows[bad_row][1] = "oops"
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,label\n" + "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: non-numeric cell at row {bad_row}, column 1"
+        block = datasets._BLOCK_ROWS
+        # body, blocks up to the failing one, its rows up to the bad one, the row's cells as one block, cells 0 and 1
+        assert len(loadtxt_calls) == 1 + (bad_row // block + 1) + (bad_row % block + 1) + 1 + 2
+
+    def test_ragged_row_after_good_blocks_costs_a_call_per_block(self, tmp_path, loadtxt_calls):
+        rows = ["1,2,0"] * 150 + ["1,2"] + ["1,2,0"] * 10
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: row 150 has 2 cells, expected 3"
+        block = datasets._BLOCK_ROWS
+        assert loadtxt_calls == [161] + [block] * (150 // block) + [150 % block]
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"
