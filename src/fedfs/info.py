@@ -24,7 +24,8 @@ _ZERO = np.uint64(0)
 # Packed words (masks x n x words per row) that one chunk of evaluate_objective
 # sorts at once: 2**14 words or one mask, whichever is larger, so peak
 # memory stays flat in S. Wide data (mav: 727 x 34 words) gets one mask per
-# chunk, whose temporaries each exceed the budget.
+# chunk, whose temporaries each exceed the budget. Its one-word early exit
+# sorts masks x n single words per chunk, under the same budget.
 _CHUNK_WORDS = 2**14
 # Code dtypes from narrowest to widest, each with the largest value it holds.
 # Never uint64: numpy promotes uint64 with int64 to float64.
@@ -268,6 +269,31 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     return values
 
 
+def _told_apart_by_one_word(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
+    """Whether each mask's selected bits in one packed word already make its rows distinct.
+
+    The word is the one holding the most of the mask's selected columns.
+    Rows distinct on part of the mask are distinct on all of it.
+    """
+    counts = np.add.reduceat(masks, packed.word_starts, axis=1, dtype=np.intp)
+    best = counts.argmax(axis=1)
+    selected = np.where(masks, packed.fields, _ZERO)
+    bits = np.bitwise_or.reduceat(selected, packed.word_starts, axis=1)
+    keys = packed.words.T[best]
+    keys &= bits[np.arange(masks.shape[0]), best, None]
+    keys.sort(axis=1)
+    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+
+
+def _scored(packed: PackedRows, terms_of: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The sorting path of :func:`evaluate_objective`, one chunk of masks at a time."""
+    values = np.zeros(masks.shape[0])
+    chunk = max(1, _CHUNK_WORDS // packed.words.size)
+    for i in range(0, masks.shape[0], chunk):
+        values[i : i + chunk] = _entropy_gaps(_group_starts(packed, masks[i : i + chunk]), terms_of)
+    return values
+
+
 def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
     """:func:`conditional_entropy` of each row of an (S, m) batch of masks, unchecked.
 
@@ -285,13 +311,27 @@ def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarra
     Masks are scored in chunks of ``_CHUNK_WORDS`` packed words or one mask,
     whichever is larger, one (chunk, n) sort per chunk, so the temporaries
     do not grow with S.
+
+    Rows that span several words first take an early exit. Each mask's
+    rows are sorted on one word alone, the word that holds the most of its
+    selected columns, masked to those columns; ``_CHUNK_WORDS // n`` masks
+    (at least one) share each (chunk, n) uint64 sort. A mask whose rows all
+    differ on that word has only singleton groups, so H(U) = H(U, y) and it
+    scores 0.0, as the sort on every word gives it; only the other masks
+    take that sort. The empty mask selects no bits, so it passes only when
+    n = 1, where both give 0.0. Single-word rows skip the exit.
     """
     packed, terms_of = dataset.packed, dataset.group_terms
     masks = np.asarray(masks, dtype=bool)
-    chunk = max(1, _CHUNK_WORDS // packed.words.size)
-    # A generator, so only one chunk's flags are alive at a time.
-    starts = (_group_starts(packed, masks[i : i + chunk]) for i in range(0, masks.shape[0], chunk))
-    return np.concatenate([_entropy_gaps(flags, terms_of) for flags in starts])
+    if packed.words.shape[1] == 1:
+        return _scored(packed, terms_of, masks)
+    values = np.zeros(masks.shape[0])
+    step = max(1, _CHUNK_WORDS // packed.words.shape[0])
+    for i in range(0, masks.shape[0], step):
+        batch = masks[i : i + step]
+        rest = np.flatnonzero(~_told_apart_by_one_word(packed, batch))
+        values[i + rest] = _scored(packed, terms_of, batch[rest])
+    return values
 
 
 def conditional_entropy(dataset: DiscreteDataset, mask: np.ndarray | Sequence[int]) -> float:

@@ -88,6 +88,31 @@ class TestGeneratePlanted:
         assert set(np.unique(ds.labels)) <= {0, 1, 2, 3}
         assert entropy(ds.labels) > 0.5
 
+    @pytest.mark.parametrize(
+        "m, n, relevant, redundant",
+        [
+            (2166, 2911, (2160, 2161, 2162, 2163), {0: 2160, 1: 2161, 2: 2162}),  # odd n
+            (50, 4096, (0, 1, 2, 3), {4: 0, 5: 1, 6: 2, 7: 3, 8: 0, 9: 1}),  # 40 noise, blocks of 4
+            (4, 31, (1,), {}),
+            (40, 1000, (0,), {}),  # 39 noise, blocks of 16
+            (3, 20_001, (0,), {}),  # n above the block: one column per draw
+            (3, 64, (0, 1), {2: 0}),  # no noise columns
+        ],
+    )
+    def test_noise_equals_one_draw_per_column(self, m, n, relevant, redundant):
+        spec = PlantedSpec(m, n, relevant, redundant, label_rule="sum_mod_k", rng_seed=17)
+        # Replay the generator's draws before the noise, then draw each noise column alone.
+        rng = np.random.default_rng(spec.rng_seed)
+        combos = 2 ** len(relevant)
+        if n % combos:
+            rng.integers(0, combos, size=n % combos)
+        rng.permutation(n)
+        expected = np.zeros((n, len(spec.noise)), dtype=np.uint8)
+        for j in range(len(spec.noise)):
+            expected[:, j] = rng.integers(0, 2, size=n)
+        ds = generate_planted(spec)
+        assert ds.features[:, list(spec.noise)].tobytes() == expected.tobytes()
+
     def test_deterministic(self):
         spec = PlantedSpec(m=5, n=64, relevant=(0, 1), rng_seed=11)
         a, b = generate_planted(spec), generate_planted(spec)

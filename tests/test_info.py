@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedfs import info
@@ -415,6 +415,95 @@ class TestBatchScoring:
         finally:
             tracemalloc.stop()
         assert peak < 750_000
+
+
+@st.composite
+def wide_layouts(draw):
+    """Binary data over two to four packed words, with its masks.
+
+    Rows start out random, so most masks tell them apart on one word; then
+    some rows are copied onto others, and some others are copied in word 0's
+    64 columns only, so they differ only outside it. Most masks select a
+    share of word 0's columns and a smaller share of the rest.
+    """
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(65, 250))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.integers(0, 2, size=(n, m))
+    labels = rng.integers(0, draw(st.integers(2, 4)), size=n)
+    copied, near = draw(st.integers(0, n // 2)), draw(st.integers(0, n // 2))
+    features[rng.integers(0, n, copied)] = features[rng.integers(0, n, copied)]
+    features[rng.integers(0, n, near), :64] = features[rng.integers(0, n, near), :64]
+    inside, outside = rng.random((2, 12, 1))
+    masks = np.concatenate(
+        [rng.random((12, 64)) < inside, rng.random((12, m - 64)) < outside * inside], axis=1
+    )
+    masks = np.vstack([masks, np.zeros(m, bool), np.ones(m, bool)])
+    return DiscreteDataset(features, labels), masks
+
+
+def sorted_only(ds, masks):
+    """evaluate_objective with the one-word exit bypassed: every mask takes the sort."""
+    undecided = lambda packed, batch: np.zeros(batch.shape[0], dtype=bool)
+    with mock.patch.object(info, "_told_apart_by_one_word", undecided):
+        return evaluate_objective(ds, masks)
+
+
+class TestOneWordExit:
+    """Masks whose rows one packed word tells apart score 0.0 without the wide sort."""
+
+    def check(self, ds, masks):
+        expected = [mixed_radix_conditional_entropy(ds, mask) for mask in masks]
+        assert evaluate_objective(ds, masks).tolist() == expected
+        assert sorted_only(ds, masks).tolist() == expected
+        # Three masks per one-word chunk, so the batch spans several.
+        with mock.patch.object(info, "_CHUNK_WORDS", 3 * ds.n):
+            assert evaluate_objective(ds, masks).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_layouts(), st.randoms())
+    def test_packed_layouts(self, layout, rnd):
+        ds, _ = layout
+        assume(ds.packed.words.shape[1] > 1)
+        masks = [[1] * ds.m, [0] * ds.m] + np.eye(ds.m, dtype=int).tolist()
+        masks += [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(6)]
+        self.check(ds, np.array(masks, dtype=bool))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_layouts())
+    def test_wide_layouts(self, layout):
+        ds, masks = layout
+        assert ds.packed.words.shape[1] > 1
+        self.check(ds, masks)
+
+    def test_decided_masks_skip_the_sort(self, monkeypatch, planted50):
+        rng = np.random.default_rng(4)
+        wide = DiscreteDataset(rng.integers(0, 2, (300, 200)), rng.integers(0, 3, 300))
+        masks = rng.random((30, 200)) < rng.choice([0.01, 0.05, 0.5], (30, 1))
+        sorted_masks = []
+        group_starts = info._group_starts
+
+        def spy(packed, batch):
+            sorted_masks.extend(batch.tolist())
+            return group_starts(packed, batch)
+
+        monkeypatch.setattr(info, "_group_starts", spy)
+        decided = info._told_apart_by_one_word(wide.packed, masks)
+        assert 0 < decided.sum() < len(masks)
+        values = evaluate_objective(wide, masks)
+        assert sorted_masks == masks[~decided].tolist()
+        assert values[decided].tolist() == [0.0] * decided.sum()
+        # Single-word rows skip the exit: every mask is sorted.
+        sorted_masks.clear()
+        monkeypatch.setattr(info, "_told_apart_by_one_word", None)
+        evaluate_objective(planted50, masks[:, :50])
+        assert sorted_masks == masks[:, :50].tolist()
+
+    @pytest.mark.parametrize("top", [1, 2**40])
+    def test_empty_batch(self, top):
+        ds = DiscreteDataset(np.array([[top, 0], [1, top]]), np.array([0, 1]))
+        values = evaluate_objective(ds, np.zeros((0, 2), dtype=bool))
+        assert values.dtype == np.float64 and values.shape == (0,)
 
 
 class TestGroupTerms:
