@@ -19,10 +19,9 @@ from .ce import (
     alpha_schedule,
     ce_round,
     ce_update,
-    compute_gamma,
+    elite_update,
     sample_masks,
     select_features,
-    update_probabilities,
 )
 from .federation import (
     ClientState,

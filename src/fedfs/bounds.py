@@ -17,6 +17,10 @@ import numpy as np
 from .ce import CEParams, alpha_schedule, elite_update, rank_masks, sample_masks, uniform_probs
 from .info import NEG_CLAMP, DiscreteDataset, evaluate_objective
 
+# Uniform draws (trials x sample_count x m) one block of Monte-Carlo trials
+# may take per round; bounds the sampling arrays whatever the trial count.
+_DRAW_BUDGET = 2**18
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -24,7 +28,8 @@ class BoundInputs:
 
     ``p0`` is the scalar uniform initialization; ``optimal_mask`` identifies
     the unique optimum; ``alpha_seq`` overrides the 1/(t*m) schedule when
-    given.
+    given. An alpha of 1 makes every later decay 0, so the bound stays at
+    1 - p_hit, the bound of round 1 alone.
     """
 
     t_prime: int
@@ -45,8 +50,8 @@ class BoundInputs:
             raise ValueError("p0 must be in (0, 1)")
         if self.alpha_seq is not None:
             object.__setattr__(self, "alpha_seq", tuple(self.alpha_seq))
-            if any(not 0.0 <= a < 1.0 for a in self.alpha_seq):
-                raise ValueError("alpha_seq entries must be in [0, 1)")
+            if any(not 0.0 <= a <= 1.0 for a in self.alpha_seq):
+                raise ValueError("alpha_seq entries must be in [0, 1]")
 
     @property
     def m(self) -> int:
@@ -125,33 +130,43 @@ def miss_rate_curve(
 ) -> list[float]:
     """Observed miss rates for every horizon 1..t_max from seeded trials.
 
-    Trial s uses streams derived from (params.rng_seed, s, round); a trial
-    misses horizon t' when none of its samples up to round t' equals the
-    exhaustively-found optimum. All 2^m masks are ranked once by
+    Round t has one stream, derived from (params.rng_seed, t), and every
+    trial still missing at round t draws its masks from it, in trial order.
+    A trial misses horizon t' when none of its samples up to round t' equals
+    the exhaustively-found optimum. All 2^m masks are ranked once by
     :func:`fedfs.ce.rank_masks`, whose key does not depend on the batch, so
-    the table orders any round as ``ce_update`` would. A round before t_max
-    that misses runs the optimizer's :func:`fedfs.ce.elite_update` on ranks
-    read from it; a hit stops the trial, and the last round updates nothing
-    because no later sample would use its update.
+    the table orders any round as ``ce_update`` would. The trials that miss
+    a round before t_max take one batched :func:`fedfs.ce.elite_update` on
+    ranks read from it; a hit stops the trial, and the last round updates
+    nothing because no later sample would use its update. Trials run in
+    blocks of at most ``_DRAW_BUDGET`` uniform draws per round, so memory
+    stays flat in ``trials``; consecutive draws from one stream equal one
+    draw of their total size, so the blocks do not change the curve.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
     candidates = candidate_masks(dataset.m)
     objectives = evaluate_objective(dataset, candidates)
-    optimum = _unique_optimum(candidates, objectives)
     table = rank_masks(candidates, objectives)
     bit_values = 1 << np.arange(dataset.m)
+    target = _unique_optimum(candidates, objectives) @ bit_values
     init = uniform_probs(dataset.m) if p0 is None else np.asarray(p0, dtype=np.float64)
+    streams = [np.random.default_rng([params.rng_seed, t]) for t in range(1, t_max + 1)]
+    block = max(1, _DRAW_BUDGET // (params.sample_count * dataset.m))
     # The round each trial first hits; t_max + 1 if it never does.
     hit_rounds = np.full(trials, t_max + 1)
-    for s in range(trials):
-        p = init
-        for t in range(1, t_max + 1):
-            masks = sample_masks(p, params.sample_count, [params.rng_seed, s, t])
-            if np.any(np.all(masks == optimum, axis=1)):
-                hit_rounds[s] = t
+    for start in range(0, trials, block):
+        live = np.arange(start, min(start + block, trials))
+        p = np.broadcast_to(init, (live.size, dataset.m))
+        for t, stream in enumerate(streams, start=1):
+            masks = sample_masks(p, params.sample_count, stream)
+            codes = masks @ bit_values
+            hit = np.any(codes == target, axis=1)
+            hit_rounds[live[hit]] = t
+            miss = ~hit
+            live = live[miss]
+            if t == t_max or not live.size:
                 break
-            if t < t_max:
-                p = elite_update(p, masks, table[masks @ bit_values], params, t)
+            p = elite_update(p[miss], masks[miss], table[codes[miss]], params, t)
     misses = np.count_nonzero(hit_rounds > np.arange(1, t_max + 1)[:, None], axis=1)
     return [float(c) / trials for c in misses]

@@ -14,8 +14,9 @@ identical masks tie, and every client breaks ties between equally small,
 equally informative subsets the same way. The digest is a hash, so the
 tie-break favours no feature position.
 
-The elite step, :func:`elite_update`, reads only the order of its ranks:
-:func:`ce_update` ranks a batch for it, :mod:`fedfs.bounds` reads a table.
+The elite step, :func:`elite_update`, takes any number of batches at once and
+reads only the order of their ranks: :func:`ce_update` ranks one batch for it,
+:mod:`fedfs.bounds` reads the ranks of every live Monte-Carlo trial from a table.
 """
 
 from __future__ import annotations
@@ -81,16 +82,18 @@ def uniform_probs(m: int) -> np.ndarray:
 
 
 def sample_masks(p: np.ndarray, count: int, rng_seed) -> np.ndarray:
-    """Draw ``count`` independent Bernoulli masks; bit i is 1 with probability p[i].
+    """Draw ``count`` independent Bernoulli masks per vector; bit i is 1 with probability p[..., i].
 
-    ``rng_seed`` is anything ``numpy.random.default_rng`` accepts, so callers
-    can pass entropy lists like ``[seed, round]`` for derived streams.
+    p is (..., m) and the result (..., count, m), drawn in row order from one
+    stream. ``rng_seed`` is anything ``numpy.random.default_rng`` accepts, so
+    callers can pass entropy lists like ``[seed, round]`` for derived streams,
+    or a ``Generator`` to keep drawing from.
     """
     p = np.asarray(p, dtype=np.float64)
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(rng_seed)
-    return (rng.random((count, p.shape[0])) < p).astype(np.uint8)
+    return (rng.random(p.shape[:-1] + (count, p.shape[-1])) < p[..., None, :]).astype(np.uint8)
 
 
 def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
@@ -111,67 +114,38 @@ def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
     return np.array([rank_of[key] for key in keys], dtype=np.int64)
 
 
-def compute_gamma(objectives: Sequence[float], beta: float) -> float:
-    """Nearest-rank (1-beta)-percentile of the objective values.
-
-    Sort ascending and take the element at index ceil((1-beta)*S)-1, clamped
-    into range; this guarantees at least one sample scores <= gamma.
-    """
-    values = sorted(objectives)
-    if not values:
-        raise ValueError("objectives must be non-empty")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must be in (0, 1)")
-    return values[_cutoff(len(values), beta)]
-
-
 def _cutoff(size: int, beta: float) -> int:
     """Index ceil((1-beta)*size)-1 of the nearest-rank percentile, clamped into range."""
     return min(max(math.ceil((1.0 - beta) * size) - 1, 0), size - 1)
 
 
-def update_probabilities(
-    p: np.ndarray,
-    masks: np.ndarray,
-    objectives: Sequence[float],
-    gamma: float,
-    alpha: float,
-    eps: float = DEFAULT_CLAMP,
+def elite_update(
+    p: np.ndarray, masks: np.ndarray, ranks: np.ndarray, params: CEParams, round_index: int
 ) -> np.ndarray:
-    """Pull p toward the per-feature frequency over the elite masks.
+    """Pull p toward the selection frequency of its elite masks, for a whole batch at once.
 
-    Elite masks are those with objective <= gamma (weak inequality, so ties
-    at gamma are included). The new vector is (1-alpha)*p + alpha*frequency,
-    clamped into [eps, 1-eps]; the input is not modified.
+    p is (..., m), masks (..., S, m) and ranks (..., S): one vector, one
+    mask batch and its ranks per leading index. gamma is each row's sorted
+    rank at index ceil((1-beta)*S)-1, and the elite is every mask ranked
+    <= gamma: the best ceil((1-beta)*S) masks plus every mask ranked equal
+    to the last of them. Only the order of ``ranks`` matters. The result is
+    (1-alpha)*p + alpha*frequency, clamped into [eps, 1-eps]; p is not
+    modified, and ``round_index`` only sets alpha under the "schedule" mode.
     """
     p = np.asarray(p, dtype=np.float64)
     masks = np.asarray(masks)
-    objectives = np.asarray(objectives, dtype=np.float64)
-    if masks.shape != (objectives.shape[0], p.shape[0]):
-        raise ValueError("masks, objectives and p have inconsistent shapes")
-    elite = objectives <= gamma
-    if not elite.any():
-        raise RuntimeError("empty elite set; gamma must be a sampled objective value")
-    freq = masks[elite].mean(axis=0)
-    return clamp_probs((1.0 - alpha) * p + alpha * freq, eps)
-
-
-def elite_update(
-    p: np.ndarray, masks: np.ndarray, ranks: Sequence[int], params: CEParams, round_index: int
-) -> np.ndarray:
-    """Pull p toward the elite of ranked masks: alpha by mode, percentile, update.
-
-    ``ranks`` order the (S, m) batch best first; only that order matters, so
-    any order-preserving map of them gives the same elite: the best
-    ceil((1-beta)*S) masks, plus every mask ranked equal to the last of them.
-    ``round_index`` only sets alpha under the "schedule" mode.
-    """
+    ranks = np.asarray(ranks)
+    shape = masks.shape
+    if len(shape) < 2 or shape[:-1] != ranks.shape or shape[:-2] + shape[-1:] != p.shape or not shape[-2]:
+        raise ValueError("p, masks and ranks have inconsistent shapes or an empty batch")
     if params.alpha_mode == "schedule":
-        alpha = alpha_schedule(round_index, len(p))
+        alpha = alpha_schedule(round_index, p.shape[-1])
     else:
         alpha = params.alpha
-    gamma = compute_gamma(ranks, params.beta)
-    return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)
+    gamma = np.sort(ranks, axis=-1)[..., _cutoff(ranks.shape[-1], params.beta), None]
+    elite = ranks <= gamma
+    freq = masks.sum(axis=-2, where=elite[..., None]) / elite.sum(axis=-1, keepdims=True)
+    return clamp_probs((1.0 - alpha) * p + alpha * freq, params.clamp_eps)
 
 
 def ce_update(

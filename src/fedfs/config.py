@@ -64,7 +64,8 @@ class ExperimentConfig:
             ("bins", self.bins >= 2),
             ("t_max", self.t_max >= 1),
             ("trials", self.trials >= 100),
-            ("seed", self.seed >= 0),
+            # Seeds are derived from their low 32 bits, so a larger one would alias a smaller.
+            ("seed", 0 <= self.seed < 2**32),
             ("draw_size", self.draw_size is None or self.draw_size >= 1),
             ("record_bytes", self.record_bytes is None or self.record_bytes >= 0),
         ]

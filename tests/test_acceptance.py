@@ -19,7 +19,14 @@ from fedfs.bounds import (
     find_optimal_mask,
     miss_rate_curve,
 )
-from fedfs.ce import DEFAULT_CLAMP, CEParams, ce_round, select_features, uniform_probs
+from fedfs.ce import (
+    DEFAULT_CLAMP,
+    CEParams,
+    ce_round,
+    elite_update,
+    select_features,
+    uniform_probs,
+)
 from fedfs.cli import main
 from fedfs.datasets import partition_iid
 from fedfs.federation import (
@@ -185,8 +192,6 @@ class TestCriterion5OracleSuites:
             assert abs(conditional_entropy(ds, mask) - expected) <= 1e-12
 
         # Elite-frequency update vs hand-rolled arithmetic, bitwise equal.
-        from fedfs.ce import compute_gamma, update_probabilities
-
         for _ in range(200):
             m = int(rng.integers(1, 8))
             s = int(rng.integers(2, 30))
@@ -195,13 +200,13 @@ class TestCriterion5OracleSuites:
             objectives = rng.random(s)
             beta = float(rng.uniform(0.1, 0.95))
             alpha = float(rng.uniform(0.05, 1.0))
-            gamma = compute_gamma(objectives, beta)
-            assert gamma == sorted(objectives)[math.ceil((1.0 - beta) * s) - 1]
+            gamma = sorted(objectives)[math.ceil((1.0 - beta) * s) - 1]
             elite = masks[objectives <= gamma]
             expected = np.clip(
                 (1.0 - alpha) * p + alpha * elite.mean(axis=0), 1e-6, 1.0 - 1e-6
             )
-            ours = update_probabilities(p, masks, objectives, gamma, alpha)
+            params = CEParams(sample_count=s, beta=beta, alpha=alpha)
+            ours = elite_update(p, masks, objectives, params, 1)
             assert ours.tolist() == expected.tolist()
 
         # KS p-values vs frozen external-oracle values, tol 1e-3

@@ -23,14 +23,18 @@ from fedfs.info import DiscreteDataset
 
 
 def ce_update_curve(dataset, params, t_max, trials, p0):
-    """miss_rate_curve as a loop that runs ce.ce_update on every missed round before t_max."""
+    """miss_rate_curve as a per-trial loop that runs ce.ce_update on every missed round before t_max.
+
+    Round t's generator is shared by every trial, which draws from it in trial order.
+    """
     optimum = find_optimal_mask(dataset)
+    streams = [np.random.default_rng([params.rng_seed, t]) for t in range(1, t_max + 1)]
     first_hits = []
     for s in range(trials):
         p = ce.uniform_probs(dataset.m) if p0 is None else p0
         first_hit = t_max + 1
         for t in range(1, t_max + 1):
-            masks = ce.sample_masks(p, params.sample_count, [params.rng_seed, s, t])
+            masks = ce.sample_masks(p, params.sample_count, streams[t - 1])
             if any(row.tolist() == optimum.tolist() for row in masks):
                 first_hit = t
                 break
@@ -115,6 +119,16 @@ class TestCentralizedBound:
             expected = (1.0 - p_hit) * (1.0 - p_hit) ** (4 * (t_prime - 1))
             assert centralized_miss_bound(inputs) == pytest.approx(expected, abs=1e-12)
 
+    def test_alpha_one_keeps_the_round_one_bound(self):
+        # alpha = 1 zeroes every later decay, so each horizon's bound is 1 - p_hit.
+        for t_prime in range(1, 6):
+            inputs = BoundInputs(t_prime, 4, (1, 1, 0), alpha_seq=(1.0,) * t_prime)
+            assert centralized_miss_bound(inputs) == 1.0 - 0.5**3
+
+    def test_alpha_above_one_rejected(self):
+        with pytest.raises(ValueError, match="alpha_seq"):
+            BoundInputs(2, 4, (1, 1, 0), alpha_seq=(1.5,))
+
     def test_strictly_decreasing_in_horizon(self):
         values = [
             centralized_miss_bound(
@@ -174,32 +188,39 @@ class TestMonteCarlo:
         assert all(b <= a for a, b in zip(curve, curve[1:]))
 
     def test_misses_run_the_shipped_ce_update(self, xor_noise_dataset, monkeypatch):
-        # All 2^m masks are ranked once per curve. A trial runs the
-        # optimizer's elite step in round t < t_max exactly when it missed
-        # every round up to t; a hit round, and the last round, update nothing.
+        # All 2^m masks are ranked once per curve. Each round t < t_max runs
+        # the optimizer's elite step once, on the trials that missed every
+        # round up to t; a hit round, and the last round, update nothing.
         assert bounds.elite_update is ce.elite_update
-        calls = {"update": 0, "rank": 0}
+        calls = {"update": [], "rank": 0}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def updating(p, *args):
+            calls["update"].append(len(p))
+            return ce.elite_update(p, *args)
 
-            return wrapper
+        def ranking(*args):
+            calls["rank"] += 1
+            return ce.rank_masks(*args)
 
-        monkeypatch.setattr(bounds, "elite_update", counting("update", ce.elite_update))
-        monkeypatch.setattr(bounds, "rank_masks", counting("rank", ce.rank_masks))
+        monkeypatch.setattr(bounds, "elite_update", updating)
+        monkeypatch.setattr(bounds, "rank_masks", ranking)
         params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=404)
         curve = miss_rate_curve(xor_noise_dataset, params, 5, 200)
-        assert calls["update"] == round(200 * sum(curve[:-1])) > 0
+        assert len(calls["update"]) == 4
+        assert calls["update"] == [round(200 * rate) for rate in curve[:-1]]
         assert calls["rank"] == 1
 
     @settings(max_examples=40, deadline=None)
-    @given(unique_optimum_cases())
-    def test_equals_ce_update_on_every_miss(self, case):
+    @given(unique_optimum_cases(), st.sampled_from([1, 2, 7, 64, None]))
+    def test_equals_ce_update_on_every_miss(self, case, block):
+        # Trials run in blocks of `block` (None: the shipped draw budget);
+        # the block size must not change the curve.
         dataset, params, t_max, p0 = case
         expected = ce_update_curve(dataset, params, t_max, 100, p0)
-        assert miss_rate_curve(dataset, params, t_max, 100, p0) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(bounds, "_DRAW_BUDGET", block * params.sample_count * dataset.m)
+            assert miss_rate_curve(dataset, params, t_max, 100, p0) == expected
 
     def test_alpha_schedule_shared_with_ce(self):
         assert alpha_schedule is ce.alpha_schedule

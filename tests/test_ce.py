@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 from fedfs import ce
 from fedfs.ce import (
     CEParams,
-    alpha_schedule,
     ce_round,
     ce_update,
     clamp_probs,
-    compute_gamma,
     elite_update,
     evaluate_objective,
     rank_masks,
     sample_masks,
     select_features,
     uniform_probs,
-    update_probabilities,
 )
 from fedfs.datasets import PlantedSpec, generate_planted
 from fedfs.info import DiscreteDataset, conditional_entropy
@@ -51,72 +48,112 @@ class TestSampleMasks:
         b = sample_masks(p, 50, rng_seed=[7, 2])
         assert not np.array_equal(a, b)
 
+    def test_stacked_vectors_draw_in_row_order(self):
+        # A (k, m) vector batch gives (k, count, m): the rows one stream draws for each vector in turn.
+        p = np.random.default_rng(1).random((5, 3))
+        stacked = sample_masks(p, 4, np.random.default_rng(9))
+        stream = np.random.default_rng(9)
+        assert stacked.shape == (5, 4, 3)
+        assert np.array_equal(stacked, np.stack([sample_masks(row, 4, stream) for row in p]))
+        # And a 1-D vector draws exactly as before: one (count, m) uniform block.
+        uniform = np.random.default_rng(9).random((4, 3))
+        assert np.array_equal(sample_masks(p[0], 4, 9), (uniform < p[0]).astype(np.uint8))
+
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_masks(np.array([0.5]), 0, rng_seed=0)
 
 
+def elite_of(ranks, beta):
+    """Indices of the elite that elite_update picks from ``ranks``.
+
+    Mask i selects feature i alone, so with alpha = 1 the new vector is 1/|elite|
+    on the elite features and the clamp floor elsewhere.
+    """
+    size = len(ranks)
+    out = elite_update(
+        np.full(size, 0.5), np.eye(size, dtype=np.uint8), ranks, CEParams(beta=beta, alpha=1.0), 1
+    )
+    return np.flatnonzero(out > 1e-6).tolist()
+
+
 class TestComputeGamma:
+    """The nearest-rank percentile of elite_update: gamma is the sorted rank at ceil((1-beta)*S)-1."""
+
     def test_nearest_rank(self):
-        assert compute_gamma([0.1, 0.2, 0.8, 0.9], beta=0.9) == 0.1
+        assert elite_of([0.1, 0.2, 0.8, 0.9], beta=0.9) == [0]
 
     def test_constant_list(self):
-        assert compute_gamma([0.5, 0.5, 0.5], beta=0.3) == 0.5
+        assert elite_of([0.5, 0.5, 0.5], beta=0.3) == [0, 1, 2]
 
     def test_singleton(self):
-        assert compute_gamma([0.3], beta=0.95) == 0.3
+        assert elite_of([0.3], beta=0.95) == [0]
 
     def test_unsorted_input(self):
-        assert compute_gamma([0.9, 0.1, 0.8, 0.2], beta=0.9) == 0.1
+        assert elite_of([0.9, 0.1, 0.8, 0.2], beta=0.9) == [1]
 
     def test_lower_beta_moves_gamma_up(self):
         values = [float(v) for v in range(10)]
-        assert compute_gamma(values, beta=0.5) == 4.0
+        assert elite_of(values, beta=0.5) == [0, 1, 2, 3, 4]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_gamma([], beta=0.9)
+        with pytest.raises(ValueError, match="empty batch"):
+            elite_update(np.full(2, 0.5), np.zeros((0, 2)), np.zeros(0), CEParams(), 1)
 
 
 class TestUpdateProbabilities:
+    """The elite-frequency update and clamp of elite_update."""
+
     def test_worked_example(self):
         p = np.array([0.5, 0.5])
         masks = np.array([[1, 0], [1, 1], [0, 1], [0, 0]])
         objectives = [0.1, 0.2, 0.9, 0.8]
-        out = update_probabilities(p, masks, objectives, gamma=0.2, alpha=0.5)
+        # beta = 0.5 puts gamma at the second-best rank, 0.2.
+        out = elite_update(p, masks, objectives, CEParams(beta=0.5, alpha=0.5), 1)
         assert out.tolist() == [0.75, 0.5]
 
     def test_alpha_zero_is_identity(self):
+        # CEParams refuses alpha = 0; the smallest positive alpha changes no bit of p.
         p = np.array([0.3, 0.7])
         masks = np.array([[1, 1], [0, 0]])
-        out = update_probabilities(p, masks, [0.0, 1.0], gamma=0.0, alpha=0.0)
-        assert np.allclose(out, p)
+        out = elite_update(p, masks, [0.0, 1.0], CEParams(alpha=5e-324), 1)
+        assert out.tolist() == p.tolist()
 
     def test_alpha_one_all_elite_is_raw_frequency(self):
         p = np.array([0.1, 0.9, 0.5])
         masks = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]])
-        out = update_probabilities(p, masks, [1.0] * 4, gamma=1.0, alpha=1.0)
+        out = elite_update(p, masks, [1.0] * 4, CEParams(alpha=1.0), 1)
         assert np.allclose(out, masks.mean(axis=0))
 
     def test_ties_at_gamma_included(self):
         masks = np.array([[1, 0], [0, 1]])
-        out = update_probabilities(np.array([0.5, 0.5]), masks, [0.2, 0.2], 0.2, 1.0)
+        out = elite_update(np.array([0.5, 0.5]), masks, [0.2, 0.2], CEParams(alpha=1.0), 1)
         assert np.allclose(out, [0.5, 0.5])
 
-    def test_empty_elite_is_internal_error(self):
-        masks = np.array([[1, 0]])
-        with pytest.raises(RuntimeError):
-            update_probabilities(np.array([0.5, 0.5]), masks, [0.5], gamma=0.1, alpha=0.5)
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((2,), (3, 2), (2,)),
+            ((2,), (2, 3), (2,)),
+            ((2, 2), (2, 2), (2,)),
+            ((), (1, 1), (1,)),
+            ((2,), (2,), ()),
+        ],
+    )
+    def test_inconsistent_shapes_rejected(self, shapes):
+        p, masks, ranks = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            elite_update(p + 0.5, masks, ranks, CEParams(), 1)
 
     def test_output_clamped(self):
         masks = np.array([[1, 1], [1, 1]])
-        out = update_probabilities(np.array([1.0, 1.0]), masks, [0.0, 0.0], 0.0, 1.0)
+        out = elite_update(np.array([1.0, 1.0]), masks, [0.0, 0.0], CEParams(alpha=1.0), 1)
         assert np.all(out <= 1.0 - 1e-6)
 
     def test_input_not_modified(self):
         p = np.array([0.5, 0.5])
         masks = np.array([[1, 0], [0, 1]])
-        update_probabilities(p, masks, [0.1, 0.9], gamma=0.1, alpha=1.0)
+        elite_update(p, masks, [0.1, 0.9], CEParams(alpha=1.0), 1)
         assert p.tolist() == [0.5, 0.5]
 
     def test_convex_combination_bounds(self):
@@ -127,15 +164,42 @@ class TestUpdateProbabilities:
             p = rng.random(m)
             masks = rng.integers(0, 2, size=(s, m))
             objectives = rng.random(s)
-            gamma = compute_gamma(objectives, 0.7)
+            gamma = sorted(objectives)[math.ceil((1.0 - 0.7) * s) - 1]
             alpha = float(rng.uniform(0.05, 1.0))
-            out = update_probabilities(p, masks, objectives, gamma, alpha)
+            out = elite_update(p, masks, objectives, CEParams(beta=0.7, alpha=alpha), 1)
             # Convex combination of two vectors in [0, 1], then clamped.
             assert np.all(out >= 1e-6 - 1e-15)
             assert np.all(out <= 1.0 - 1e-6 + 1e-15)
-            elite = masks[np.asarray(objectives) <= gamma]
+            elite = masks[objectives <= gamma]
             raw = (1.0 - alpha) * p + alpha * elite.mean(axis=0)
             assert np.allclose(out, np.clip(raw, 1e-6, 1.0 - 1e-6))
+
+
+@st.composite
+def stacked_rounds(draw):
+    """(p, masks, ranks, params, round_index) for k stacked rounds: (k, m), (k, S, m), (k, S)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, s, m = draw(st.integers(1, 6)), draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    p = rng.random((k, m))
+    masks = rng.integers(0, 2, size=(k, s, m), dtype=np.uint8)
+    # Few distinct ranks, so the cutoff often falls inside a tie.
+    ranks = rng.integers(0, draw(st.integers(1, 2 * s)), size=(k, s))
+    params = CEParams(
+        beta=draw(st.sampled_from([0.1, 0.5, 0.8, 0.9, 0.99])),
+        alpha=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        alpha_mode=draw(st.sampled_from(["fixed", "schedule"])),
+    )
+    return p, masks, ranks, params, draw(st.integers(1, 5))
+
+
+class TestStackedEliteUpdate:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_rounds())
+    def test_equals_one_call_per_row(self, case):
+        p, masks, ranks, params, round_index = case
+        stacked = elite_update(p, masks, ranks, params, round_index)
+        rows = [elite_update(*row, params, round_index) for row in zip(p, masks, ranks)]
+        assert stacked.tobytes() == np.stack(rows).tobytes()
 
 
 def mask_digest(mask):
@@ -271,13 +335,8 @@ class TestCeRound:
 
 def score_every_copy(dataset, p, masks, params, round_index):
     """The CE step without the copy check: every one of the S masks is scored and ranked."""
-    if params.alpha_mode == "schedule":
-        alpha = alpha_schedule(round_index, dataset.m)
-    else:
-        alpha = params.alpha
     ranks = rank_masks(masks, evaluate_objective(dataset, masks))
-    gamma = compute_gamma(ranks, params.beta)
-    return update_probabilities(p, masks, ranks, gamma, alpha, params.clamp_eps)
+    return elite_update(p, masks, ranks, params, round_index)
 
 
 @st.composite
@@ -381,8 +440,9 @@ class TestCutoffTie:
         monkeypatch.setattr(ce.hashlib, "blake2b", Constant)
         params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
         p = np.array([0.3, 0.5, 0.8])
-        # Every mask of popcount <= 1 is elite.
-        expected = update_probabilities(p, self.MASKS, self.MASKS.sum(axis=1), 1, 0.7)
+        # Every mask of popcount <= 1 is elite: all 7 of them, whatever the cutoff in 0..6.
+        elite = self.MASKS[self.MASKS.sum(axis=1) <= 1]
+        expected = np.clip((1.0 - 0.7) * p + 0.7 * elite.mean(axis=0), 1e-6, 1.0 - 1e-6)
         assert score_every_copy(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
         assert ce_update(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, outputs, determinism."""
 
 import csv
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -122,6 +123,7 @@ class TestConfigParsing:
         [
             "alpha = 0", "alpha_mode = linear", "clamp_eps = 0.5", "sample_count = 1",
             "rho = 1.0", "seed = -3", "record_bytes = -1", "draw_size = 0",
+            "seed = 4294967296",
         ],
     )
     def test_out_of_range_value_names_field(self, tmp_path, line):
@@ -298,6 +300,18 @@ seed = 2
         assert main(["bounds", str(cfg)]) == 0
         for _, bound, rate in read_rows(tmp_path / "out" / "bounds.csv")[1:]:
             assert float(rate) <= float(bound) + 0.05
+
+    def test_fixed_alpha_one(self, tmp_path):
+        # At alpha = 1 the bound stays at its round-1 value, 1 - p_hit, for every horizon.
+        config = self.CONFIG.replace("alpha_mode = schedule", "alpha_mode = fixed\nalpha = 1.0")
+        config = config.replace("trials = 150", "trials = 100")
+        cfg = write_config(tmp_path, config + f"t_max = 5\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["bounds", str(cfg)]) == 0
+        rows = read_rows(tmp_path / "out" / "bounds.csv")[1:]
+        assert len(rows) == 5
+        for _, bound, rate in rows:
+            b = float(bound)
+            assert float(rate) <= b + 3 * math.sqrt(b * (1.0 - b) / 100)
 
     def test_negative_seed_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CONFIG + f"t_max = 1\nout_dir = {tmp_path / 'out'}\n")
