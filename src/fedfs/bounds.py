@@ -8,7 +8,6 @@ empirically on tiny datasets where the optimum is found by exhaustive search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,22 +67,17 @@ class BoundInputs:
         return self.p0**ones * (1.0 - self.p0) ** (self.m - ones)
 
 
-def _decay(inputs: BoundInputs, tau: int, exponent: int) -> float:
-    """prod_{j=1}^{tau-1} (1 - alpha_j)**exponent."""
-    prod = 1.0
-    for j in range(1, tau):
-        prod *= (1.0 - inputs.alpha(j)) ** exponent
-    return prod
-
-
 def centralized_miss_bound(inputs: BoundInputs) -> float:
     """Upper bound on the probability no sample equals the optimum by t'."""
     if inputs.t_prime == 0:
         return 1.0
     p_hit = inputs.first_draw_hit_probability()
     bound = 1.0 - p_hit
+    # prod_{j=1}^{tau-1} (1 - alpha_j)**m, one factor more each round.
+    decay = 1.0
     for tau in range(2, inputs.t_prime + 1):
-        bound *= (1.0 - p_hit * _decay(inputs, tau, inputs.m)) ** inputs.sample_count
+        decay *= (1.0 - inputs.alpha(tau - 1)) ** inputs.m
+        bound *= (1.0 - p_hit * decay) ** inputs.sample_count
     return min(max(bound, 0.0), 1.0)
 
 
@@ -97,25 +91,19 @@ def candidate_masks(m: int) -> np.ndarray:
 def find_optimal_mask(dataset: DiscreteDataset) -> np.ndarray:
     """Exhaustively locate the unique minimal-cardinality objective minimizer.
 
-    Ties on the objective are broken by cardinality (a superset of an
-    optimal mask scores the same); a tie at the minimal cardinality means
-    the optimum is not unique and is rejected.
+    Every mask within ``NEG_CLAMP`` of the minimum objective ties, whatever
+    the order of the candidates. Ties are broken by cardinality (a superset
+    of an optimal mask scores the same); a tie at the minimal cardinality
+    means the optimum is not unique and is rejected.
     """
     candidates = candidate_masks(dataset.m)
     return _unique_optimum(candidates, evaluate_objective(dataset, candidates))
 
 
 def _unique_optimum(candidates: np.ndarray, objectives: np.ndarray) -> np.ndarray:
-    best_value = math.inf
-    masks = []
-    for mask, value in zip(candidates, objectives.tolist()):
-        if value < best_value - NEG_CLAMP:
-            best_value = value
-            masks = [mask]
-        elif value <= best_value + NEG_CLAMP:
-            masks.append(mask)
-    min_ones = min(int(mask.sum()) for mask in masks)
-    winners = [mask for mask in masks if int(mask.sum()) == min_ones]
+    near = candidates[objectives <= objectives.min() + NEG_CLAMP]
+    ones = near.sum(axis=1)
+    winners = near[ones == ones.min()]
     if len(winners) != 1:
         raise ValueError("multiple optimal masks; the bound assumes a unique optimum")
     return winners[0]

@@ -14,9 +14,11 @@ identical masks tie, and every client breaks ties between equally small,
 equally informative subsets the same way. The digest is a hash, so the
 tie-break favours no feature position.
 
-The elite step, :func:`elite_update`, takes any number of batches at once and
-reads only the order of their ranks: :func:`ce_update` ranks one batch for it,
-:mod:`fedfs.bounds` reads the ranks of every live Monte-Carlo trial from a table.
+The ordering lives in :func:`rank_masks` alone and the cut in
+:func:`elite_update` alone, which takes any number of batches at once and
+reads only the order of their ranks. :func:`ce_update` ranks the masks of one
+batch that can reach the cutoff and puts the rest after them; :mod:`fedfs.bounds`
+reads the ranks of every live Monte-Carlo trial from a table of all masks.
 """
 
 from __future__ import annotations
@@ -158,35 +160,29 @@ def ce_update(
     """Score already-sampled masks and pull p toward their elite.
 
     The (S, m) batch is checked once and each distinct mask in it is scored
-    once, by one :func:`evaluate_objective` call. The elite is that of
-    :func:`rank_masks` over all S: the distinct masks are ordered on
-    (rounded objective, popcount), copies counted, up to the mask at the
-    ceil((1-beta)*S) cutoff, and digests are taken only for the masks tied
-    with it on both keys. :func:`elite_update` then gets rank 0 for the
-    elite and 1 for the rest.
+    once, by one :func:`evaluate_objective` call. The distinct masks are
+    ordered on (rounded objective, popcount), copies counted, to find the
+    edge: the one whose copies cover the ceil((1-beta)*S) cutoff. Only the
+    masks at or before the edge on those two keys can be elite, so only they
+    are ranked, by :func:`rank_masks`; the rest rank after all of them.
+    :func:`elite_update` makes the cut over all S ranks, as
+    :func:`fedfs.bounds.miss_rate_curve` does over its table.
     """
     checked = validate_mask(masks, dataset.m, ndim=2)
     bits = np.packbits(checked, axis=1)
     rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
     _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
     unique = checked[first]
+    scores = evaluate_objective(dataset, unique)
     # Python's round, as rank_masks keys it; np.round rounds differently.
-    objectives = np.array([round(v, 12) for v in evaluate_objective(dataset, unique).tolist()])
+    objectives = np.array([round(v, 12) for v in scores.tolist()])
     counts = unique.sum(axis=1)
     order = np.lexsort((counts, objectives))
-    cut = _cutoff(len(owner), params.beta)
-    # The distinct mask whose copies cover sorted position `cut`.
-    edge = order[np.argmax(np.cumsum(copies[order]) > cut)]
-    same = objectives == objectives[edge]
-    elite = (objectives < objectives[edge]) | (same & (counts < counts[edge]))
-    # The cutoff falls among the masks tied with the edge on both keys; digests order them.
-    tied = np.flatnonzero(same & (counts == counts[edge]))
-    digests = [hashlib.blake2b(bits[first[i]].tobytes(), digest_size=8).digest() for i in tied]
-    by_digest = sorted(range(tied.size), key=digests.__getitem__)
-    covered = np.cumsum(copies[tied[by_digest]]) > cut - copies[elite].sum()
-    last = digests[by_digest[np.argmax(covered)]]
-    elite[tied] = [d <= last for d in digests]
-    return elite_update(p, checked, np.where(elite[owner], 0, 1), params, round_index)
+    edge = order[np.argmax(np.cumsum(copies[order]) > _cutoff(len(owner), params.beta))]
+    before = (objectives < objectives[edge]) | ((objectives == objectives[edge]) & (counts <= counts[edge]))
+    ranks = np.full(len(unique), len(unique))
+    ranks[before] = rank_masks(unique[before], scores[before])
+    return elite_update(p, checked, ranks[owner], params, round_index)
 
 
 def ce_round(

@@ -148,6 +148,31 @@ class TestCentralizedBound:
             v = centralized_miss_bound(BoundInputs(t, 3, (1, 1, 1, 0), p0=0.9))
             assert 0.0 <= v <= 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 39),
+        st.integers(1, 5),
+        st.integers(1, 20),
+        st.floats(0.01, 0.99),
+        st.none() | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_double_loop(self, t_prime, m, sample_count, p0, alpha_seq, seed):
+        # The decay as a product recomputed from j = 1 for every tau, bit for bit.
+        optimal = tuple(int(b) for b in np.random.default_rng(seed).integers(0, 2, size=m))
+        inputs = BoundInputs(t_prime, sample_count, optimal, p0=p0, alpha_seq=alpha_seq)
+        expected = 1.0
+        if t_prime:
+            p_hit = inputs.first_draw_hit_probability()
+            expected = 1.0 - p_hit
+            for tau in range(2, t_prime + 1):
+                decay = 1.0
+                for j in range(1, tau):
+                    decay *= (1.0 - inputs.alpha(j)) ** m
+                expected *= (1.0 - p_hit * decay) ** sample_count
+            expected = min(max(expected, 0.0), 1.0)
+        assert centralized_miss_bound(inputs).hex() == expected.hex()
+
 
 class TestFindOptimalMask:
     def test_xor_with_noise(self, xor_noise_dataset):
@@ -164,6 +189,13 @@ class TestFindOptimalMask:
         labels = np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="unique"):
             find_optimal_mask(DiscreteDataset(features, labels))
+
+    @pytest.mark.parametrize("objectives", [[1.5e-12, 6e-13, 0.0, 5.0], [5.0, 0.0, 6e-13, 1.5e-12]])
+    def test_near_ties_rejected_in_any_candidate_order(self, objectives):
+        # [1, 0] and [0, 1] both lie within NEG_CLAMP of the minimum with one feature each.
+        candidates = bounds.candidate_masks(2)
+        with pytest.raises(ValueError, match="multiple optimal masks"):
+            bounds._unique_optimum(candidates, np.array(objectives))
 
     def test_too_wide_rejected(self):
         ds = DiscreteDataset(np.zeros((4, 5), dtype=np.int64), np.zeros(4, dtype=np.int64))

@@ -382,8 +382,8 @@ class TestDistinctMasks:
         assert ce_update(dataset, p, masks, params, round_index).tolist() == expected.tolist()
 
     def test_each_distinct_mask_scored_and_ranked_once(self, xor_noise_dataset, monkeypatch):
-        # One objective call over the distinct masks; ce_update ranks them
-        # itself, without rank_masks, and hands the elite to elite_update.
+        # One objective call over the distinct masks, one rank_masks call over
+        # the candidates, then one elite_update call over all S masks.
         seen = []
 
         def rows(batch):
@@ -393,20 +393,24 @@ class TestDistinctMasks:
             seen.append(("score", rows(batch)))
             return evaluate_objective(dataset, batch)
 
+        def ranking(batch, objectives):
+            seen.append(("rank", rows(batch)))
+            return rank_masks(batch, objectives)
+
         def updating(p, batch, ranks, params, round_index):
             seen.append(("update", len(batch)))
             return elite_update(p, batch, ranks, params, round_index)
 
-        def no_ranking(*args):
-            raise AssertionError("ce_update called rank_masks")
-
         monkeypatch.setattr(ce, "evaluate_objective", scoring)
-        monkeypatch.setattr(ce, "rank_masks", no_ranking)
+        monkeypatch.setattr(ce, "rank_masks", ranking)
         monkeypatch.setattr(ce, "elite_update", updating)
         masks = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
-        ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6), 1)
+        # (objective, popcount): (0.964, 2) three times, (1.0, 0) twice, (0.0, 2) once.
+        # beta = 0.5 puts the cutoff at sorted position 2, on a copy of [1, 0, 1],
+        # so the empty mask, ranked after it on both keys, is no candidate.
+        ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6, beta=0.5), 1)
         distinct = sorted([(1, 0, 1), (0, 0, 0), (1, 1, 0)])
-        assert seen == [("score", distinct), ("update", 6)]
+        assert seen == [("score", distinct), ("rank", sorted([(1, 0, 1), (1, 1, 0)])), ("update", 6)]
 
 
 class TestCutoffTie:
@@ -445,6 +449,25 @@ class TestCutoffTie:
         expected = np.clip((1.0 - 0.7) * p + 0.7 * elite.mean(axis=0), 1e-6, 1.0 - 1e-6)
         assert score_every_copy(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
         assert ce_update(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
+
+
+    @pytest.mark.parametrize("cut", range(9))
+    def test_masks_after_the_edge_are_never_hashed(self, cut, monkeypatch):
+        # Every objective is 0, so the edge is the popcount at sorted position
+        # `cut`; only the distinct masks of at most that popcount are hashed.
+        hashed = []
+        blake2b = ce.hashlib.blake2b
+
+        def spy(data, **kwargs):
+            hashed.append(bytes(data))
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(ce.hashlib, "blake2b", spy)
+        params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
+        ce_update(self.DATASET, np.array([0.3, 0.5, 0.8]), self.MASKS, params, 1)
+        popcounts = self.MASKS.sum(axis=1)
+        candidates = self.MASKS[popcounts <= np.sort(popcounts)[cut]]
+        assert sorted(hashed) == sorted({row.tobytes() for row in np.packbits(candidates, axis=1)})
 
 
 class TestSelectFeatures:

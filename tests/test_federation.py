@@ -176,7 +176,7 @@ class TestMessageValidation:
             decode_message(raw, z + 2)
 
     @pytest.mark.parametrize("sample_count, value", MALFORMED)
-    def test_from_bytes_refuses(self, sample_count, value):
+    def test_decode_message_refuses(self, sample_count, value):
         values = value if isinstance(value, tuple) else (value,)
         z = len(values)
         bitmap = np.packbits(np.ones(z, dtype=bool), bitorder="little").tobytes()
