@@ -130,7 +130,9 @@ def elite_update(
     mask batch and its ranks per leading index. gamma is each row's sorted
     rank at index ceil((1-beta)*S)-1, and the elite is every mask ranked
     <= gamma: the best ceil((1-beta)*S) masks plus every mask ranked equal
-    to the last of them. Only the order of ``ranks`` matters. The result is
+    to the last of them. Only the order of ``ranks`` matters. The elite's
+    selection counts are one float64 matmul, exact in any summation order
+    since they are integers below 2**53. The result is
     (1-alpha)*p + alpha*frequency, clamped into [eps, 1-eps]; p is not
     modified, and ``round_index`` only sets alpha under the "schedule" mode.
     """
@@ -146,7 +148,8 @@ def elite_update(
         alpha = params.alpha
     gamma = np.sort(ranks, axis=-1)[..., _cutoff(ranks.shape[-1], params.beta), None]
     elite = ranks <= gamma
-    freq = masks.sum(axis=-2, where=elite[..., None]) / elite.sum(axis=-1, keepdims=True)
+    counts = np.matmul(elite[..., None, :], masks, dtype=np.float64)[..., 0, :]
+    freq = counts / elite.sum(axis=-1, keepdims=True)
     return clamp_probs((1.0 - alpha) * p + alpha * freq, params.clamp_eps)
 
 

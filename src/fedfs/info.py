@@ -20,7 +20,6 @@ NEG_CLAMP = 1e-12
 _WORD_BITS = 64
 # 2**0 .. 2**62: the count of these <= v is v.bit_length() for any int64 v >= 0.
 _POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
-_ZERO = np.uint64(0)
 # Packed words (masks x n x words per row) that one chunk of evaluate_objective
 # sorts at once: 2**14 words or one mask, whichever is larger, so peak
 # memory stays flat in S. Wide data (mav: 727 x 34 words) gets one mask per
@@ -211,9 +210,8 @@ def _group_starts(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
     count, (n, width) = masks.shape[0], packed.words.shape
     # Each mask's selected column bits, per word.
     columns = np.zeros((count, width), dtype=np.uint64)
-    selected = np.where(masks, packed.fields, _ZERO)
     columns[:, : packed.word_starts.size] = np.bitwise_or.reduceat(
-        selected, packed.word_starts, axis=1
+        masks * packed.fields, packed.word_starts, axis=1
     )
     kept = columns.copy()
     kept[:, -1] |= packed.label_field
@@ -277,8 +275,7 @@ def _told_apart_by_one_word(packed: PackedRows, masks: np.ndarray) -> np.ndarray
     """
     counts = np.add.reduceat(masks, packed.word_starts, axis=1, dtype=np.intp)
     best = counts.argmax(axis=1)
-    selected = np.where(masks, packed.fields, _ZERO)
-    bits = np.bitwise_or.reduceat(selected, packed.word_starts, axis=1)
+    bits = np.bitwise_or.reduceat(masks * packed.fields, packed.word_starts, axis=1)
     keys = packed.words.T[best]
     keys &= bits[np.arange(masks.shape[0]), best, None]
     keys.sort(axis=1)

@@ -175,6 +175,34 @@ class TestUpdateProbabilities:
             assert np.allclose(out, np.clip(raw, 1e-6, 1.0 - 1e-6))
 
 
+class TestEliteCounts:
+    """The elite's selection counts stay exact past 255 copies of a bit."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_exact_past_255_copies(self, dtype):
+        rng = np.random.default_rng(19)
+        s, m = 300, 6
+        params = CEParams(beta=0.1, alpha=0.7)
+        p = rng.random((3, m))
+        masks = rng.random((3, s, m)) < rng.random((3, 1, m))
+        masks[0] = True
+        masks = masks.astype(dtype)
+        ranks = rng.integers(0, s, size=(3, s))
+        gamma = np.sort(ranks, axis=1)[:, math.ceil((1.0 - params.beta) * s) - 1, None]
+        elite = ranks <= gamma
+        assert (elite.sum(axis=1) > 255).all()
+
+        def reference(k, freq):
+            return np.clip((1.0 - params.alpha) * p[k] + params.alpha * freq, 1e-6, 1.0 - 1e-6)
+
+        expected = np.stack([reference(k, masks[k][elite[k]].mean(axis=0)) for k in range(3)])
+        # The all-ones batch's frequency is exactly 1.0.
+        assert expected[0].tobytes() == reference(0, 1.0).tobytes()
+        assert elite_update(p, masks, ranks, params, 1).tobytes() == expected.tobytes()
+        for k in range(3):
+            assert elite_update(p[k], masks[k], ranks[k], params, 1).tobytes() == expected[k].tobytes()
+
+
 @st.composite
 def stacked_rounds(draw):
     """(p, masks, ranks, params, round_index) for k stacked rounds: (k, m), (k, S, m), (k, S)."""

@@ -449,8 +449,47 @@ def sorted_only(ds, masks):
         return evaluate_objective(ds, masks)
 
 
+def told_apart_reference(ds, masks):
+    """The exit's decision from the codes: the word holding the most selected
+    columns (the first on ties) alone makes every row distinct."""
+    word_of = np.searchsorted(ds.packed.word_starts, np.arange(ds.m), side="right") - 1
+    decided = []
+    for mask in masks:
+        counts = np.bincount(word_of[mask], minlength=ds.packed.word_starts.size)
+        columns = mask & (word_of == counts.argmax())
+        decided.append(len(np.unique(ds.features[:, columns], axis=0)) == ds.n)
+    return decided
+
+
 class TestOneWordExit:
     """Masks whose rows one packed word tells apart score 0.0 without the wide sort."""
+
+    def check_decision(self, ds, masks):
+        decided = info._told_apart_by_one_word(ds.packed, masks)
+        assert decided.tolist() == told_apart_reference(ds, masks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_layouts(), st.randoms())
+    def test_decision_on_packed_layouts(self, layout, rnd):
+        ds, _ = layout
+        tops = ds.features.max(axis=0).astype(np.int64)
+        assume(ds.packed.words.shape[1] > 1 and (tops > 1).any())
+        masks = [[1] * ds.m, [0] * ds.m] + np.eye(ds.m, dtype=int).tolist()
+        masks += [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(6)]
+        masks = np.array(masks, dtype=bool)
+        self.check_decision(ds, masks)
+        # The same layout with each code its column's top code less at most one
+        # bit, so a field that loses any of its bits merges rows.
+        rng = np.random.default_rng(rnd.getrandbits(32))
+        widths = np.array([int(top).bit_length() for top in tops])
+        flipped = (1 << rng.integers(0, widths + 1, size=(ds.n, ds.m))) & tops
+        flipped[0] = 0
+        self.check_decision(DiscreteDataset(tops ^ flipped, ds.labels), masks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_layouts())
+    def test_decision_on_wide_layouts(self, layout):
+        self.check_decision(*layout)
 
     def check(self, ds, masks):
         expected = [mixed_radix_conditional_entropy(ds, mask) for mask in masks]
