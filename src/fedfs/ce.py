@@ -177,14 +177,14 @@ def ce_update(
     _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
     unique = checked[first]
     scores = evaluate_objective(dataset, unique)
-    # Python's round, as rank_masks keys it; np.round rounds differently.
-    objectives = np.array([round(v, 12) for v in scores.tolist()])
+    # Python's round, as rank_masks keys it (np.round differs); most scores are 0.0, left as is.
+    objectives = np.array([round(v, 12) if v else 0.0 for v in scores.tolist()])
     counts = unique.sum(axis=1)
     order = np.lexsort((counts, objectives))
     edge = order[np.argmax(np.cumsum(copies[order]) > _cutoff(len(owner), params.beta))]
     before = (objectives < objectives[edge]) | ((objectives == objectives[edge]) & (counts <= counts[edge]))
     ranks = np.full(len(unique), len(unique))
-    ranks[before] = rank_masks(unique[before], scores[before])
+    ranks[before] = rank_masks(unique[before], objectives[before])
     return elite_update(p, checked, ranks[owner], params, round_index)
 
 

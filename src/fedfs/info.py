@@ -204,37 +204,36 @@ def entropy(labels: np.ndarray | Sequence[int]) -> float:
 def _group_starts(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
     """(2, S, n) flags: where each mask's sorted rows begin a (U, y) group, and a U group.
 
-    The label takes the low bits of the last word, so masking that word to
-    its column bits leaves what the U groups compare.
+    A (U, y) group begins where adjacent sorted rows differ in a kept bit.
+    The label holds the lowest bits of the last word, so a U group begins
+    where they still differ with every label bit set: where the XOR ``step``
+    of their last words exceeds ``label_field``, or an earlier word's is nonzero.
     """
     count, (n, width) = masks.shape[0], packed.words.shape
-    # Each mask's selected column bits, per word.
-    columns = np.zeros((count, width), dtype=np.uint64)
-    columns[:, : packed.word_starts.size] = np.bitwise_or.reduceat(
-        masks * packed.fields, packed.word_starts, axis=1
-    )
-    kept = columns.copy()
+    fields = np.bitwise_or.reduceat(masks * packed.fields, packed.word_starts, axis=1)
+    kept = np.zeros((count, width), dtype=np.uint64)
+    kept[:, : fields.shape[1]] = fields
     kept[:, -1] |= packed.label_field
     live = kept.any(axis=0).nonzero()[0]
     starts = np.empty((2, count, n), dtype=bool)
     starts[:, :, 0] = True
     if live.size == 1:
-        rows = packed.words[:, live[0]] & kept[:, live]
+        # Compared in place: an XOR array would be a second (S, n) temporary.
+        rows = packed.words[:, -1] & kept[:, -1:]
         rows.sort(axis=1)
         np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[0, :, 1:])
-        rows &= columns[:, -1:]
+        rows |= packed.label_field
         np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[1, :, 1:])
         return starts
     words = packed.words if live.size == width else packed.words[:, live]
     keys = (words & kept[:, None, live]).astype(">u8", order="C")
-    # Read the sorted big-endian words back as native ones: XOR and AND
-    # work bytewise, so which results are zero does not change.
+    # Sorted as big-endian bytes, read back as native words: XOR is bytewise,
+    # so which words differ does not change, and a byteswap gives the tail its value.
     rows = np.sort(keys.view(np.dtype((np.void, live.size * 8))), axis=1).view(np.uint64)
     step = rows[:, 1:] ^ rows[:, :-1]
-    tail = step[..., -1]
+    tail = step[..., -1].byteswap()
     np.not_equal(tail, 0, out=starts[0, :, 1:])
-    tail &= columns[:, -1:].astype(">u8").view(np.uint64)
-    np.not_equal(tail, 0, out=starts[1, :, 1:])
+    np.greater(tail, packed.label_field, out=starts[1, :, 1:])
     starts[:, :, 1:] |= step[..., :-1].any(axis=2)
     return starts
 
@@ -243,27 +242,29 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     """H(y|U) = H(U, y) - H(U) for each mask, from :func:`_group_starts` flags.
 
     A group of c of the n rows adds ``terms_of[c]`` = (c/n) log2(c/n) to -H.
-    Each mask's two entropies are each one ``np.add.reduce`` over that
-    grouping's terms, as for a lone vector of counts, so the bits do not
-    depend on how many masks share a chunk. Every U group start is a (U, y)
-    group start, so equal group counts mean equal groupings and H(y|U) = 0:
-    those masks are not summed.
+    A mask whose two flag rows agree has H(y|U) = 0 and is not summed. The
+    others' groupings are laid out as blocks of a sentinel start and n row
+    flags, and one ``np.add.reduceat`` at the sentinels, whose terms are 0.0,
+    sums every block: a segment led by 0.0 gives the bits of ``np.add.reduce``
+    over the rest, so a mask scores the same alone or in any chunk.
     """
     count, n = starts.shape[1:]
     values = np.zeros(count)
-    groups = np.count_nonzero(starts, axis=2)
-    split = np.flatnonzero(groups[0] != groups[1])
+    split = np.flatnonzero((starts[0] != starts[1]).any(axis=1))
     if not split.size:
         return values
-    # The split masks' blocks back to back, and a closing start.
-    flags = np.append(starts[:, split], True)
-    terms = terms_of[np.diff(np.flatnonzero(flags))]
-    bounds = np.concatenate(([0], np.cumsum(groups[:, split]))).tolist()
-    for j, r in enumerate(split.tolist()):
-        pair = -np.add.reduce(terms[bounds[j] : bounds[j + 1]])
-        joint = -np.add.reduce(terms[bounds[split.size + j] : bounds[split.size + j + 1]])
-        value = pair - joint
-        values[r] = 0.0 if -NEG_CLAMP < value < 0.0 else value
+    flags = np.ones(2 * split.size * (n + 1) + 1, dtype=bool)
+    flags[:-1].reshape(2, split.size, n + 1)[:, :, 1:] = starts[:, split]
+    at = np.flatnonzero(flags)
+    heads = np.searchsorted(at, np.arange(0, at[-1], n + 1))
+    # At most two n-scale temporaries alive: with three, the heap shrank and regrew every chunk.
+    sizes = np.diff(at)
+    del at
+    terms = terms_of[sizes]
+    terms[heads] = 0.0
+    pair, joint = -np.add.reduceat(terms, heads).reshape(2, split.size)
+    values[split] = pair - joint
+    values[(-NEG_CLAMP < values) & (values < 0.0)] = 0.0
     return values
 
 
@@ -300,23 +301,22 @@ def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarra
     packed row, and a mask's rows are sorted: on a single word as integers,
     on several as big-endian byte strings, whose order is the lexicographic
     order of the (masked columns, label) tuples. Adjacent sorted rows that
-    differ in any kept bit start a new (U, y) group, and those that differ
-    in a column bit start a new U group. Both groupings come out in the
-    order ``np.unique`` gives the tuples, so the counts, and the sums over
-    them, are the same as grouping on the tuples directly.
+    differ in a kept bit begin a (U, y) group, and in a column bit a U group,
+    in the order ``np.unique`` gives the tuples. Each grouping's terms are
+    summed as one ``np.add.reduce`` over its counts, with no Python loop per
+    mask, so the values are the bits of grouping on the tuples directly.
 
     Masks are scored in chunks of ``_CHUNK_WORDS`` packed words or one mask,
-    whichever is larger, one (chunk, n) sort per chunk, so the temporaries
-    do not grow with S.
+    whichever is larger, one (chunk, n) sort and one segmented sum per
+    chunk, so the temporaries do not grow with S.
 
-    Rows that span several words first take an early exit. Each mask's
-    rows are sorted on one word alone, the word that holds the most of its
-    selected columns, masked to those columns; ``_CHUNK_WORDS // n`` masks
-    (at least one) share each (chunk, n) uint64 sort. A mask whose rows all
-    differ on that word has only singleton groups, so H(U) = H(U, y) and it
-    scores 0.0, as the sort on every word gives it; only the other masks
-    take that sort. The empty mask selects no bits, so it passes only when
-    n = 1, where both give 0.0. Single-word rows skip the exit.
+    Rows that span several words first take an early exit: each mask's rows
+    are sorted on the one word that holds the most of its selected columns,
+    masked to those columns, ``_CHUNK_WORDS // n`` masks (at least one) per
+    (chunk, n) uint64 sort. A mask whose rows all differ there has only
+    singleton groups and scores 0.0, as the full sort gives it; the empty
+    mask passes only when n = 1, where both give 0.0. Only the other masks
+    take the full sort. Single-word rows skip the exit.
     """
     packed, terms_of = dataset.packed, dataset.group_terms
     masks = np.asarray(masks, dtype=bool)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fedfs import info
 from fedfs.ce import evaluate_objective
+from fedfs.datasets import partition_iid
 from fedfs.info import (
     DiscreteDataset,
     conditional_entropy,
@@ -543,6 +544,118 @@ class TestOneWordExit:
         ds = DiscreteDataset(np.array([[top, 0], [1, top]]), np.array([0, 1]))
         values = evaluate_objective(ds, np.zeros((0, 2), dtype=bool))
         assert values.dtype == np.float64 and values.shape == (0,)
+
+
+def loop_entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
+    """H(y|U) from (2, S, n) group-start flags, one ``np.add.reduce`` per mask and
+    grouping: the loop the kernel's segmented sum replaced, kept as its oracle."""
+    count, n = starts.shape[1:]
+    values = np.zeros(count)
+    groups = np.count_nonzero(starts, axis=2)
+    split = np.flatnonzero(groups[0] != groups[1])
+    if not split.size:
+        return values
+    flags = np.append(starts[:, split], True)
+    terms = terms_of[np.diff(np.flatnonzero(flags))]
+    bounds = np.concatenate(([0], np.cumsum(groups[:, split]))).tolist()
+    for j, r in enumerate(split.tolist()):
+        pair = -np.add.reduce(terms[bounds[j] : bounds[j + 1]])
+        joint = -np.add.reduce(terms[bounds[split.size + j] : bounds[split.size + j + 1]])
+        value = pair - joint
+        values[r] = 0.0 if -1e-12 < value < 0.0 else value
+    return values
+
+
+def tuple_starts(ds: DiscreteDataset, masks) -> np.ndarray:
+    """(2, S, n) flags where each mask's (columns, label) tuples, sorted as
+    ``np.unique`` sorts them, begin a (U, y) group, and a U group."""
+    starts = np.ones((2, len(masks), ds.n), dtype=bool)
+    for j, mask in enumerate(masks):
+        columns = ds.features[:, np.asarray(mask, dtype=bool)]
+        table = np.column_stack([columns, ds.labels]).astype(np.int64)
+        table = table[np.lexsort(table.T[::-1])]
+        step = table[1:] != table[:-1]
+        starts[0, j, 1:] = step.any(axis=1)
+        starts[1, j, 1:] = step[:, :-1].any(axis=1)
+    return starts
+
+
+def layout_with_widths(widths, label_width, n, seed):
+    """Columns of the given bit widths, each drawing from three codes (its top code
+    among them) so rows share groups, and labels of ``label_width`` bits."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for width in list(widths) + [label_width]:
+        top = 2**width - 1
+        values = np.array([0, top, int(rng.integers(0, top + 1))])[rng.integers(0, 3, n)]
+        values[0] = top
+        columns.append(values)
+    data = np.column_stack(columns)
+    return DiscreteDataset(data[:, :-1], data[:, -1])
+
+
+class TestSegmentedSums:
+    """One ``np.add.reduceat`` per chunk gives the bits of one ``np.add.reduce`` per mask."""
+
+    @pytest.mark.parametrize("lengths", [(1, 7), (8, 128), (129, 3000)])
+    @pytest.mark.parametrize("segments", [1, 40])
+    def test_zero_led_reduceat_segment_is_reduce(self, lengths, segments):
+        # The kernel relies on this numpy property: reduceat sums a segment as
+        # its first element + the pairwise sum of the rest, and np.add.reduce
+        # sums as 0.0 + the pairwise sum of all, so a leading 0.0 makes them agree.
+        rng = np.random.default_rng(lengths[0] * 100 + segments)
+        for _ in range(50):
+            sizes = rng.integers(lengths[0], lengths[1] + 1, segments)
+            parts = [-rng.random(size) * rng.random() for size in sizes]
+            heads = np.cumsum([0] + [part.size + 1 for part in parts[:-1]])
+            sums = np.add.reduceat(np.concatenate([np.append(0.0, part) for part in parts]), heads)
+            assert sums.tobytes() == np.array([np.add.reduce(part) for part in parts]).tobytes()
+
+    def check(self, ds, masks):
+        expected = loop_entropy_gaps(tuple_starts(ds, masks), ds.group_terms)
+        assert evaluate_objective(ds, masks).tobytes() == expected.tobytes()
+        with mock.patch.object(info, "_CHUNK_WORDS", ds.packed.words.size):
+            assert evaluate_objective(ds, masks).tobytes() == expected.tobytes()
+        starts = info._group_starts(ds.packed, masks)
+        gaps = info._entropy_gaps(starts, ds.group_terms)
+        assert gaps.tobytes() == loop_entropy_gaps(starts, ds.group_terms).tobytes()
+        return expected
+
+    @pytest.mark.parametrize("rows", [409, 4096])
+    def test_planted50_batches(self, planted50, rows):
+        ds = planted50 if rows == 4096 else partition_iid(planted50, 10)[0]
+        assert ds.n == rows and ds.packed.words.shape[1] == 1
+        rng = np.random.default_rng(rows)
+        # One to three noise columns leave every mask's labels mixed: all split.
+        noise = np.zeros((60, ds.m), dtype=bool)
+        for mask in noise:
+            mask[rng.choice(np.arange(10, ds.m), rng.integers(1, 4), replace=False)] = True
+        assert (self.check(ds, noise) > 0).all()
+        # The four relevant columns fix the label: no mask splits.
+        fixed = rng.random((60, ds.m)) < 0.5
+        fixed[:, :4] = True
+        starts = info._group_starts(ds.packed, fixed)
+        assert (starts[0] == starts[1]).all()
+        assert (self.check(ds, fixed) == 0.0).all()
+        mixed = rng.random((120, ds.m)) < rng.choice([0.02, 0.1, 0.3, 0.6], (120, 1))
+        mixed[0], mixed[1] = False, True
+        self.check(ds, mixed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "widths, words", [((20, 20, 21), 1), ((20, 20, 24), 2), ((30, 34, 5, 20), 2)]
+    )
+    def test_label_at_the_word_edges(self, widths, words, seed):
+        # 61 column bits and a 3-bit label fill one word exactly; 64 column bits
+        # put the label in a word of its own, whose step never begins a U group.
+        ds = layout_with_widths(widths, 3, 200, seed)
+        assert ds.packed.words.shape[1] == words
+        rng = np.random.default_rng(seed)
+        masks = [np.zeros(ds.m), np.ones(ds.m), np.eye(ds.m), rng.random((8, ds.m)) < 0.5]
+        masks = np.vstack(masks).astype(bool)
+        assert (info._group_starts(ds.packed, masks) == tuple_starts(ds, masks)).all()
+        self.check(ds, masks)
+        assert not info._group_starts(ds.packed, masks[:1])[1, 0, 1:].any()
 
 
 class TestGroupTerms:
