@@ -40,7 +40,6 @@ from .datasets import PlantedSpec, generate_planted, load_csv, partition_iid, sa
 from .metrics import (
     OverheadInputs,
     SelectionSummary,
-    accuracy,
     cache_accumulate,
     compression_ratio,
     network_overhead,

@@ -49,8 +49,8 @@ class BoundInputs:
             raise ValueError("p0 must be in (0, 1)")
         if self.alpha_seq is not None:
             object.__setattr__(self, "alpha_seq", tuple(self.alpha_seq))
-            if any(not 0.0 <= a <= 1.0 for a in self.alpha_seq):
-                raise ValueError("alpha_seq entries must be in [0, 1]")
+            if not self.alpha_seq or any(not 0.0 <= a <= 1.0 for a in self.alpha_seq):
+                raise ValueError("alpha_seq must be non-empty, with entries in [0, 1]")
 
     @property
     def m(self) -> int:

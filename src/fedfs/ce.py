@@ -11,19 +11,18 @@ digest of the mask bits. The plug-in objective is 0 for most masks on small
 partitions, so without the last two keys nearly every mask would tie into the
 elite and the update would lose its selection pressure; with them only
 identical masks tie, and every client breaks ties between equally small,
-equally informative subsets the same way. The digest is a hash, so the
+equally informative subsets the same way. The digest mixes every bit, so the
 tie-break favours no feature position.
 
 The ordering lives in :func:`rank_masks` alone and the cut in
 :func:`elite_update` alone, which takes any number of batches at once and
-reads only the order of their ranks. :func:`ce_update` ranks the masks of one
-batch that can reach the cutoff and puts the rest after them; :mod:`fedfs.bounds`
-reads the ranks of every live Monte-Carlo trial from a table of all masks.
+reads only the order of their ranks. :func:`ce_update` ranks every distinct
+mask of one batch; :mod:`fedfs.bounds` reads the ranks of every live
+Monte-Carlo trial from a table of all masks.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -98,22 +97,46 @@ def sample_masks(p: np.ndarray, count: int, rng_seed) -> np.ndarray:
     return (rng.random(p.shape[:-1] + (count, p.shape[-1])) < p[..., None, :]).astype(np.uint8)
 
 
-def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
-    """Dense ranks of the masks, 0 for the best, on the elite ordering key.
+def digest_masks(masks: np.ndarray) -> np.ndarray:
+    """A fixed 64-bit digest of each (S, m) mask row, a function of its bits alone.
 
-    The key is (objective rounded to 1e-12, popcount, BLAKE2b digest of the
-    packed mask bits) ascending. Identical masks share a rank; distinct masks
-    differ in it unless their 64-bit digests collide.
+    The bits are packed eight to a byte, first feature in the high bit, and
+    read as little-endian uint64 words, the last one zero-padded. Word w is
+    weighted by the odd key (w+1)*0x9E3779B97F4A7C15 | 1, and splitmix64's
+    finalizer mixes the weighted sum mod 2**64. Both steps are bijections on
+    one word, so distinct masks of at most 64 bits never share a digest.
+    """
+    packed = np.packbits(masks, axis=1)
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view("<u8")
+    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+    z = (words * keys).sum(axis=1, dtype=np.uint64)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(factor)
+    return z ^ (z >> np.uint64(31))
+
+
+def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
+    """Dense ranks of the (S, m) masks, 0 for the best, on the elite ordering key.
+
+    The key is (objective rounded to 1e-12, popcount, :func:`digest_masks`)
+    ascending, ordered by one ``np.lexsort``. Identical masks share a rank;
+    distinct masks differ in it unless their digests collide. No key depends
+    on the rest of the batch, so masks keep their order in any batch.
     """
     masks = np.asarray(masks, dtype=np.uint8)
-    counts = masks.sum(axis=1)
-    digests = [
-        hashlib.blake2b(row.tobytes(), digest_size=8).digest()
-        for row in np.packbits(masks, axis=1)
-    ]
-    keys = [(round(float(o), 12), int(c), d) for o, c, d in zip(objectives, counts, digests)]
-    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return np.array([rank_of[key] for key in keys], dtype=np.int64)
+    objectives = np.asarray(objectives, dtype=np.float64)
+    if objectives.shape != masks.shape[:1]:
+        raise ValueError("objectives must hold one value per mask")
+    keys = (np.round(objectives, 12), masks.sum(axis=1), digest_masks(masks))
+    order = np.lexsort(keys[::-1])
+    changes = np.zeros(len(order), dtype=bool)
+    for ordered in (key[order] for key in keys):
+        changes[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.cumsum(changes)
+    return ranks
 
 
 def _cutoff(size: int, beta: float) -> int:
@@ -163,28 +186,17 @@ def ce_update(
     """Score already-sampled masks and pull p toward their elite.
 
     The (S, m) batch is checked once and each distinct mask in it is scored
-    once, by one :func:`evaluate_objective` call. The distinct masks are
-    ordered on (rounded objective, popcount), copies counted, to find the
-    edge: the one whose copies cover the ceil((1-beta)*S) cutoff. Only the
-    masks at or before the edge on those two keys can be elite, so only they
-    are ranked, by :func:`rank_masks`; the rest rank after all of them.
-    :func:`elite_update` makes the cut over all S ranks, as
-    :func:`fedfs.bounds.miss_rate_curve` does over its table.
+    once, by one :func:`evaluate_objective` call, and ranked once, by one
+    :func:`rank_masks` call. :func:`elite_update` then makes the cut over all
+    S ranks, the same pair of calls :func:`fedfs.bounds.miss_rate_curve` makes
+    over its table.
     """
     checked = validate_mask(masks, dataset.m, ndim=2)
     bits = np.packbits(checked, axis=1)
     rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
+    _, first, owner = np.unique(rows, return_index=True, return_inverse=True)
     unique = checked[first]
-    scores = evaluate_objective(dataset, unique)
-    # Python's round, as rank_masks keys it (np.round differs); most scores are 0.0, left as is.
-    objectives = np.array([round(v, 12) if v else 0.0 for v in scores.tolist()])
-    counts = unique.sum(axis=1)
-    order = np.lexsort((counts, objectives))
-    edge = order[np.argmax(np.cumsum(copies[order]) > _cutoff(len(owner), params.beta))]
-    before = (objectives < objectives[edge]) | ((objectives == objectives[edge]) & (counts <= counts[edge]))
-    ranks = np.full(len(unique), len(unique))
-    ranks[before] = rank_masks(unique[before], objectives[before])
+    ranks = rank_masks(unique, evaluate_objective(dataset, unique))
     return elite_update(p, checked, ranks[owner], params, round_index)
 
 

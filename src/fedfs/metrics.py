@@ -1,11 +1,8 @@
-"""Evaluation metrics: accuracy, compression, network overhead, cache size."""
+"""Evaluation metrics: compression, network overhead, cache size."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .federation import UNIT_BYTES, FederationReport, exchange_units
 
@@ -38,15 +35,6 @@ class SelectionSummary:
             raise ValueError("total feature count must be at least 1")
         if any(i < 0 or i >= self.total for i in self.selected):
             raise ValueError("selected indices must lie in [0, total)")
-
-
-def accuracy(predicted: Sequence[int], actual: Sequence[int]) -> float:
-    """Fraction of exact label matches."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != actual.shape or predicted.ndim != 1 or predicted.size == 0:
-        raise ValueError("predicted and actual must be equal-length non-empty vectors")
-    return float(np.mean(predicted == actual))
 
 
 def compression_ratio(summary: SelectionSummary) -> float:

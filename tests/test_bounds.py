@@ -129,6 +129,10 @@ class TestCentralizedBound:
         with pytest.raises(ValueError, match="alpha_seq"):
             BoundInputs(2, 4, (1, 1, 0), alpha_seq=(1.5,))
 
+    def test_empty_alpha_seq_rejected(self):
+        with pytest.raises(ValueError, match="alpha_seq"):
+            BoundInputs(3, 4, (1, 1, 0), alpha_seq=())
+
     def test_strictly_decreasing_in_horizon(self):
         values = [
             centralized_miss_bound(

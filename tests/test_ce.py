@@ -1,6 +1,5 @@
 """Cross-entropy round mechanics: sampling, percentile, update, selection."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -231,10 +230,16 @@ class TestStackedEliteUpdate:
 
 
 def mask_digest(mask):
-    # BLAKE2b-64 of the mask bits packed eight to a byte, first feature in the high bit.
-    bits = [int(b) for b in mask] + [0] * (-len(mask) % 8)
+    # The digest in Python ints: the bits packed eight to a byte, first feature
+    # in the high bit, read as zero-padded little-endian 64-bit words, weighted
+    # by odd per-word keys and summed mod 2**64, then splitmix64's finalizer.
+    bits = [int(b) for b in mask] + [0] * (-len(mask) % 64)
     packed = bytes(int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8))
-    return hashlib.blake2b(packed, digest_size=8).digest()
+    words = [int.from_bytes(packed[i : i + 8], "little") for i in range(0, len(packed), 8)]
+    z = sum(w * ((i + 1) * 0x9E3779B97F4A7C15 % 2**64 | 1) for i, w in enumerate(words)) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
 
 
 def elite_key(mask, objective):
@@ -276,6 +281,30 @@ class TestRankMasks:
         assert sorted(ranks) == list(range(16))
         assert ranks != list(range(16)) and ranks != list(range(15, -1, -1))
 
+    def test_objectives_must_match_the_mask_count(self):
+        with pytest.raises(ValueError, match="one value per mask"):
+            rank_masks(np.eye(3), [0.0, 1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_distinct_short_masks_never_share_a_digest(self, data):
+        m = data.draw(st.integers(1, 64))
+        codes = data.draw(st.sets(st.integers(0, 2**m - 1), min_size=2, max_size=40))
+        masks = np.array([[(code >> j) & 1 for j in range(m)] for code in codes], dtype=np.uint8)
+        assert len(set(ce.digest_masks(masks).tolist())) == len(codes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2200), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_rank_follows_the_oracle_key_alone_and_in_any_batch(self, m, count, seed):
+        rng = np.random.default_rng(seed)
+        masks = sample_masks(rng.random(m) ** 3, count, rng)
+        masks = masks[rng.integers(0, count, size=count)]  # some copies
+        objectives = rng.choice([0.0, 0.25, 0.25 + 1e-14, 1.0], size=count)
+        digests = ce.digest_masks(masks)
+        assert digests.tolist() == [mask_digest(mask) for mask in masks]
+        assert [ce.digest_masks(mask[None])[0] for mask in masks] == digests.tolist()
+        keys = [elite_key(mask, o) for mask, o in zip(masks, objectives.tolist())]
+        assert rank_masks(masks, objectives).tolist() == [sorted(set(keys)).index(k) for k in keys]
 
 class TestCeRound:
     def test_fixed_point_at_converged_vector(self, xor_dataset):
@@ -410,8 +439,8 @@ class TestDistinctMasks:
         assert ce_update(dataset, p, masks, params, round_index).tolist() == expected.tolist()
 
     def test_each_distinct_mask_scored_and_ranked_once(self, xor_noise_dataset, monkeypatch):
-        # One objective call over the distinct masks, one rank_masks call over
-        # the candidates, then one elite_update call over all S masks.
+        # One objective call and one rank_masks call, each over every distinct
+        # mask, then one elite_update call over all S masks.
         seen = []
 
         def rows(batch):
@@ -433,12 +462,9 @@ class TestDistinctMasks:
         monkeypatch.setattr(ce, "rank_masks", ranking)
         monkeypatch.setattr(ce, "elite_update", updating)
         masks = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
-        # (objective, popcount): (0.964, 2) three times, (1.0, 0) twice, (0.0, 2) once.
-        # beta = 0.5 puts the cutoff at sorted position 2, on a copy of [1, 0, 1],
-        # so the empty mask, ranked after it on both keys, is no candidate.
         ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6, beta=0.5), 1)
         distinct = sorted([(1, 0, 1), (0, 0, 0), (1, 1, 0)])
-        assert seen == [("score", distinct), ("rank", sorted([(1, 0, 1), (1, 1, 0)])), ("update", 6)]
+        assert seen == [("score", distinct), ("rank", distinct), ("update", 6)]
 
 
 class TestCutoffTie:
@@ -462,14 +488,7 @@ class TestCutoffTie:
 
     @pytest.mark.parametrize("cut", [1, 2, 4, 6])
     def test_colliding_digests_take_the_whole_tie_group(self, cut, monkeypatch):
-        class Constant:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def digest(self):
-                return b"\x00" * 8
-
-        monkeypatch.setattr(ce.hashlib, "blake2b", Constant)
+        monkeypatch.setattr(ce, "digest_masks", lambda masks: np.zeros(len(masks), dtype=np.uint64))
         params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
         p = np.array([0.3, 0.5, 0.8])
         # Every mask of popcount <= 1 is elite: all 7 of them, whatever the cutoff in 0..6.
@@ -477,25 +496,6 @@ class TestCutoffTie:
         expected = np.clip((1.0 - 0.7) * p + 0.7 * elite.mean(axis=0), 1e-6, 1.0 - 1e-6)
         assert score_every_copy(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
         assert ce_update(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
-
-
-    @pytest.mark.parametrize("cut", range(9))
-    def test_masks_after_the_edge_are_never_hashed(self, cut, monkeypatch):
-        # Every objective is 0, so the edge is the popcount at sorted position
-        # `cut`; only the distinct masks of at most that popcount are hashed.
-        hashed = []
-        blake2b = ce.hashlib.blake2b
-
-        def spy(data, **kwargs):
-            hashed.append(bytes(data))
-            return blake2b(data, **kwargs)
-
-        monkeypatch.setattr(ce.hashlib, "blake2b", spy)
-        params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
-        ce_update(self.DATASET, np.array([0.3, 0.5, 0.8]), self.MASKS, params, 1)
-        popcounts = self.MASKS.sum(axis=1)
-        candidates = self.MASKS[popcounts <= np.sort(popcounts)[cut]]
-        assert sorted(hashed) == sorted({row.tobytes() for row in np.packbits(candidates, axis=1)})
 
 
 class TestSelectFeatures:

@@ -1,6 +1,5 @@
-"""Accuracy, compression, overhead and cache arithmetic."""
+"""Compression, overhead and cache arithmetic."""
 
-import numpy as np
 import pytest
 
 from fedfs.ce import CEParams
@@ -9,33 +8,10 @@ from fedfs.federation import ClientState, run_federation
 from fedfs.metrics import (
     OverheadInputs,
     SelectionSummary,
-    accuracy,
     cache_accumulate,
     compression_ratio,
     network_overhead,
 )
-
-
-class TestAccuracy:
-    def test_perfect(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_all_wrong(self):
-        assert accuracy([0, 0, 0, 0], [1, 1, 1, 1]) == 0.0
-
-    def test_half(self):
-        assert accuracy([1, 2, 3, 4], [1, 2, 0, 0]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy([1, 2], [1])
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(4)
-        pred = rng.integers(0, 3, size=30)
-        actual = rng.integers(0, 3, size=30)
-        order = rng.permutation(30)
-        assert accuracy(pred, actual) == accuracy(pred[order], actual[order])
 
 
 class TestCompressionRatio:
