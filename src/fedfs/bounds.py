@@ -123,7 +123,7 @@ def miss_rate_curve(
     A trial misses horizon t' when none of its samples up to round t' equals
     the exhaustively-found optimum. All 2^m masks are ranked once by
     :func:`fedfs.ce.rank_masks`, whose key does not depend on the batch, so
-    the table orders any round as ``ce_update`` would. The trials that miss
+    the table gives any round the elite ``ce_update`` would. The trials that miss
     a round before t_max take one batched :func:`fedfs.ce.elite_update` on
     ranks read from it; a hit stops the trial, and the last round updates
     nothing because no later sample would use its update. Trials run in

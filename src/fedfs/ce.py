@@ -16,8 +16,11 @@ tie-break favours no feature position.
 
 The ordering lives in :func:`rank_masks` alone and the cut in
 :func:`elite_update` alone, which takes any number of batches at once and
-reads only the order of their ranks. :func:`ce_update` ranks every distinct
-mask of one batch; :mod:`fedfs.bounds` reads the ranks of every live
+reads only the order of their ranks. :func:`ce_update` scores the distinct
+masks of one batch in their order at objective 0 and stops once masks that
+score 0, the objective's floor, fill the cutoff: only those need a score
+(on data that no feature set separates, none scores 0 and it scores them
+all at once); :mod:`fedfs.bounds` reads the ranks of every live
 Monte-Carlo trial from a table of all masks.
 """
 
@@ -123,13 +126,14 @@ def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
     The key is (objective rounded to 1e-12, popcount, :func:`digest_masks`)
     ascending, ordered by one ``np.lexsort``. Identical masks share a rank;
     distinct masks differ in it unless their digests collide. No key depends
-    on the rest of the batch, so masks keep their order in any batch.
+    on the rest of the batch, so masks keep their order in any batch. Masks
+    of any dtype are read as bool.
     """
-    masks = np.asarray(masks, dtype=np.uint8)
+    masks = np.asarray(masks, dtype=bool)
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.shape != masks.shape[:1]:
         raise ValueError("objectives must hold one value per mask")
-    keys = (np.round(objectives, 12), masks.sum(axis=1), digest_masks(masks))
+    keys = (np.round(objectives, 12), masks.sum(axis=1, dtype=np.int32), digest_masks(masks))
     order = np.lexsort(keys[::-1])
     changes = np.zeros(len(order), dtype=bool)
     for ordered in (key[order] for key in keys):
@@ -183,20 +187,51 @@ def ce_update(
     params: CEParams,
     round_index: int,
 ) -> np.ndarray:
-    """Score already-sampled masks and pull p toward their elite.
+    """Score already-sampled masks, as many as the elite needs, and pull p toward their elite.
 
-    The (S, m) batch is checked once and each distinct mask in it is scored
-    once, by one :func:`evaluate_objective` call, and ranked once, by one
-    :func:`rank_masks` call. :func:`elite_update` then makes the cut over all
-    S ranks, the same pair of calls :func:`fedfs.bounds.miss_rate_curve` makes
-    over its table.
+    The (S, m) batch is checked once and deduplicated. The distinct masks are
+    scanned in the order :func:`rank_masks` gives them at objective 0 (by
+    popcount, then digest) and scored by :func:`evaluate_objective` in
+    slices: first ``need`` masks, the elite's nearest-rank size
+    ceil((1-beta)*S), then as many as were scanned so far, so the calls
+    grow about as log2 of the distinct count. A slice never splits masks of
+    equal scan rank. The scan stops once the copies of scanned masks whose
+    objective rounds to 0.0 reach ``need``.
+
+    No objective is below 0, so every unscanned mask ranks after those
+    zeros, and the nearest-rank cutoff falls on one of them: the elite is
+    the one scoring every mask would give. Each mask ranks by its rounded
+    objective, then its scan rank, which is the :func:`rank_masks` order;
+    an unscanned mask counts as +inf. On a dataset that is not
+    :attr:`~fedfs.info.DiscreteDataset.separable` no mask scores 0, so every
+    distinct mask is scored in one call and ranked by :func:`rank_masks`.
+    :func:`elite_update` makes the cut over all S ranks, as
+    :func:`fedfs.bounds.miss_rate_curve` does over its table.
     """
     checked = validate_mask(masks, dataset.m, ndim=2)
     bits = np.packbits(checked, axis=1)
     rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    _, first, owner = np.unique(rows, return_index=True, return_inverse=True)
+    _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
     unique = checked[first]
-    ranks = rank_masks(unique, evaluate_objective(dataset, unique))
+    if not dataset.separable:
+        # No mask can score 0, so the scan would score them all, in more calls.
+        ranks = rank_masks(unique, evaluate_objective(dataset, unique))
+        return elite_update(p, checked, ranks[owner], params, round_index)
+    scan = rank_masks(unique, np.zeros(len(unique)))
+    order = np.argsort(scan, kind="stable")
+    unique, copies, scan = unique[order], copies[order], scan[order]
+    need = _cutoff(len(checked), params.beta) + 1
+    objectives = np.full(len(unique), np.inf)
+    done = zeros = 0
+    while done < len(unique) and zeros < need:
+        end = min(max(need, 2 * done), len(unique))
+        end = int(np.searchsorted(scan, scan[end - 1], side="right"))
+        objectives[done:end] = np.round(evaluate_objective(dataset, unique[done:end]), 12)
+        zeros += int(copies[done:end] @ (objectives[done:end] == 0.0))
+        done = end
+    # rank_masks's key, whose (popcount, digest) part the scan rank already orders.
+    ranks = np.empty_like(scan)
+    ranks[order] = np.unique(objectives, return_inverse=True)[1] * len(unique) + scan
     return elite_update(p, checked, ranks[owner], params, round_index)
 
 

@@ -1,6 +1,9 @@
 """Cross-entropy round mechanics: sampling, percentile, update, selection."""
 
 import math
+from collections import Counter
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +288,11 @@ class TestRankMasks:
         with pytest.raises(ValueError, match="one value per mask"):
             rank_masks(np.eye(3), [0.0, 1.0])
 
+    def test_float_and_integer_masks_rank_as_bool(self):
+        expected = rank_masks(np.eye(3, dtype=bool), [0.0, 0.0, 0.0]).tolist()
+        assert rank_masks(np.eye(3), [0.0, 0.0, 0.0]).tolist() == expected
+        assert rank_masks(np.eye(3, dtype=np.int64), [0.0, 0.0, 0.0]).tolist() == expected
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_distinct_short_masks_never_share_a_digest(self, data):
@@ -396,12 +404,18 @@ def score_every_copy(dataset, p, masks, params, round_index):
     return elite_update(p, masks, ranks, params, round_index)
 
 
+def constant_digest(masks):
+    return np.zeros(len(masks), dtype=np.uint64)
+
+
 @st.composite
 def rounds_with_copies(draw):
-    """(dataset, p, masks, params, round_index) where the S masks repeat a few drawn ones.
+    """(dataset, p, masks, params, round_index, collide) where the S masks repeat a few drawn ones.
 
     Either m <= 4, where copies are common anyway, or m = 50 with every
-    probability near 0 or 1, as in a settled vector.
+    probability near 0 or 1, as in a settled vector. With ``collide`` the
+    caller patches in a constant digest, so masks of equal popcount tie in
+    rank and their runs straddle the scan's slice edges.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -415,6 +429,10 @@ def rounds_with_copies(draw):
     features = rng.integers(0, draw(st.integers(1, 4)), size=(n, m))
     if m > 1 and draw(st.booleans()):
         features[:, -1] = features[:, 0]  # a copied column: equal objectives, popcount decides
+    # Rows copied onto others keep their own labels, so a mask that cannot
+    # tell a copy apart scores above 0; with many copies no mask may score 0.
+    copied = draw(st.integers(0, n))
+    features[rng.integers(0, n, copied)] = features[rng.integers(0, n, copied)]
     dataset = DiscreteDataset(features, rng.integers(0, draw(st.integers(1, 3)), size=n))
     count = draw(st.integers(2, 60))
     pool = sample_masks(p, draw(st.integers(1, count)), rng)
@@ -425,46 +443,131 @@ def rounds_with_copies(draw):
         alpha=draw(st.sampled_from([0.3, 0.7, 1.0])),
         alpha_mode=draw(st.sampled_from(["fixed", "schedule"])),
     )
-    return dataset, p, masks, params, draw(st.integers(1, 5))
+    return dataset, p, masks, params, draw(st.integers(1, 5)), draw(st.booleans())
+
+
+def digests(collide):
+    return mock.patch.object(ce, "digest_masks", constant_digest) if collide else nullcontext()
+
+
+def scored_slices(dataset, p, masks, params, round_index):
+    """The rows of each batch ce_update passes to evaluate_objective, the size of
+    each batch it passes to rank_masks and to elite_update, in call order."""
+    calls, ranked, updated = [], [], []
+
+    def scoring(ds, batch):
+        calls.append([tuple(int(b) for b in row) for row in batch])
+        return evaluate_objective(ds, batch)
+
+    def ranking(batch, objectives):
+        ranked.append(len(batch))
+        return rank_masks(batch, objectives)
+
+    def updating(p, batch, ranks, params, round_index):
+        updated.append(len(batch))
+        return elite_update(p, batch, ranks, params, round_index)
+
+    with (
+        mock.patch.object(ce, "evaluate_objective", scoring),
+        mock.patch.object(ce, "rank_masks", ranking),
+        mock.patch.object(ce, "elite_update", updating),
+    ):
+        ce_update(dataset, p, masks, params, round_index)
+    return calls, ranked, updated
 
 
 class TestDistinctMasks:
-    """ce_update scores and ranks each distinct mask once, with the result of scoring all S."""
+    """ce_update scores each distinct mask at most once, with the result of scoring all S."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rounds_with_copies())
+    def test_equals_scoring_every_copy(self, case):
+        *case, collide = case
+        with digests(collide):
+            expected = score_every_copy(*case)
+            assert ce_update(*case).tolist() == expected.tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(rounds_with_copies())
-    def test_equals_scoring_every_copy(self, case):
-        dataset, p, masks, params, round_index = case
-        expected = score_every_copy(dataset, p, masks, params, round_index)
-        assert ce_update(dataset, p, masks, params, round_index).tolist() == expected.tolist()
+    def test_each_distinct_mask_scored_and_ranked_once(self, case):
+        # On a separable dataset the scoring calls take consecutive, disjoint
+        # slices of the distinct masks in scan order, (popcount, digest): the
+        # first ceil((1-beta)*S), then twice the masks scanned so far, each
+        # slice stretched to the end of its run of equal keys. The first slice
+        # after which the copies of zero-scoring masks reach ceil((1-beta)*S)
+        # is the last. On any other dataset one call scores every distinct
+        # mask. Either way one rank_masks call covers every distinct mask, and
+        # one elite_update call all S masks.
+        *case, collide = case
+        dataset, _, masks, params, _ = case
+        with digests(collide):
+            calls, ranked, updated = scored_slices(*case)
+        copies = Counter(tuple(int(b) for b in row) for row in masks)
+        assert ranked == [len(copies)] and updated == [len(masks)]
+        scanned = [row for call in calls for row in call]
+        assert len(set(scanned)) == len(scanned)
+        if not dataset.separable:
+            assert len(calls) == 1 and set(scanned) == set(copies)
+            return
 
-    def test_each_distinct_mask_scored_and_ranked_once(self, xor_noise_dataset, monkeypatch):
-        # One objective call and one rank_masks call, each over every distinct
-        # mask, then one elite_update call over all S masks.
-        seen = []
+        def key(row):
+            return (sum(row), 0 if collide else mask_digest(np.array(row)))
 
-        def rows(batch):
-            return sorted(tuple(int(b) for b in row) for row in batch)
+        distinct = sorted(copies, key=key)
+        need = min(max(math.ceil((1.0 - params.beta) * len(masks)), 1), len(masks))
+        assert [key(row) for row in scanned] == [key(row) for row in distinct[: len(scanned)]]
+        zeros = done = 0
+        for call in calls:
+            assert zeros < need and done < len(distinct)
+            end = min(max(need, 2 * done), len(distinct))
+            while end < len(distinct) and key(distinct[end - 1]) == key(distinct[end]):
+                end += 1
+            assert done + len(call) == end
+            done = end
+            zeros += sum(copies[row] for row in call if round(conditional_entropy(dataset, row), 12) == 0.0)
+        assert zeros >= need or done == len(distinct)
 
-        def scoring(dataset, batch):
-            seen.append(("score", rows(batch)))
-            return evaluate_objective(dataset, batch)
-
-        def ranking(batch, objectives):
-            seen.append(("rank", rows(batch)))
-            return rank_masks(batch, objectives)
-
-        def updating(p, batch, ranks, params, round_index):
-            seen.append(("update", len(batch)))
-            return elite_update(p, batch, ranks, params, round_index)
-
-        monkeypatch.setattr(ce, "evaluate_objective", scoring)
-        monkeypatch.setattr(ce, "rank_masks", ranking)
-        monkeypatch.setattr(ce, "elite_update", updating)
+    def test_xor_noise_round_scores_each_distinct_mask_once(self, xor_noise_dataset):
         masks = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
-        ce_update(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6, beta=0.5), 1)
-        distinct = sorted([(1, 0, 1), (0, 0, 0), (1, 1, 0)])
-        assert seen == [("score", distinct), ("rank", distinct), ("update", 6)]
+        calls, ranked, updated = scored_slices(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6, beta=0.5), 1)
+        # need = 3 masks, and only (1, 1, 0) scores 0: one slice of all three distinct masks.
+        assert [sorted(call) for call in calls] == [sorted([(0, 0, 0), (1, 0, 1), (1, 1, 0)])]
+        assert ranked == [3] and updated == [6]
+
+    def test_constant_label_stops_after_the_first_slice(self):
+        # Every mask scores 0, so the first ceil((1-beta)*S) = 10 distinct masks settle the elite.
+        rng = np.random.default_rng(5)
+        dataset = DiscreteDataset(rng.integers(0, 3, size=(30, 12)), np.zeros(30, dtype=int))
+        masks = sample_masks(uniform_probs(12), 100, rng)
+        params = CEParams(sample_count=100, beta=0.9)
+        calls, _, _ = scored_slices(dataset, uniform_probs(12), masks, params, 1)
+        assert len(calls) == 1 and len(calls[0]) == 10
+        expected = score_every_copy(dataset, uniform_probs(12), masks, params, 1)
+        assert ce_update(dataset, uniform_probs(12), masks, params, 1).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("separable", [False, True])
+    def test_no_zero_scores_every_distinct_mask_once(self, separable):
+        # Each row appears once with each label, so every mask without feature
+        # 0 scores H(y|U) = 1 bit. Feature 0 is either constant, so no mask can
+        # score 0, or the label itself, which the masks leave out.
+        rng = np.random.default_rng(6)
+        features = np.tile(rng.integers(0, 3, size=(15, 8)), (2, 1))
+        labels = np.repeat([0, 1], 15)
+        features[:, 0] = labels if separable else 0
+        dataset = DiscreteDataset(features, labels)
+        assert dataset.separable == separable
+        masks = sample_masks(np.full(8, 0.4), 60, rng)
+        masks[:, 0] = False
+        params = CEParams(sample_count=60, beta=0.9)
+        calls, _, _ = scored_slices(dataset, uniform_probs(8), masks, params, 1)
+        distinct = {tuple(int(b) for b in row) for row in masks}
+        scanned = [row for call in calls for row in call]
+        assert len(scanned) == len(distinct) == len(set(scanned)) and set(scanned) == distinct
+        # 46 distinct masks. Separable: slices of ceil(0.1 * 60) = 6, then
+        # doubling the scanned total. Otherwise one call: no scan could stop early.
+        assert [len(call) for call in calls] == ([6, 6, 12, 22] if separable else [46])
+        expected = score_every_copy(dataset, uniform_probs(8), masks, params, 1)
+        assert ce_update(dataset, uniform_probs(8), masks, params, 1).tolist() == expected.tolist()
 
 
 class TestCutoffTie:
@@ -488,7 +591,7 @@ class TestCutoffTie:
 
     @pytest.mark.parametrize("cut", [1, 2, 4, 6])
     def test_colliding_digests_take_the_whole_tie_group(self, cut, monkeypatch):
-        monkeypatch.setattr(ce, "digest_masks", lambda masks: np.zeros(len(masks), dtype=np.uint64))
+        monkeypatch.setattr(ce, "digest_masks", constant_digest)
         params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
         p = np.array([0.3, 0.5, 0.8])
         # Every mask of popcount <= 1 is elite: all 7 of them, whatever the cutoff in 0..6.

@@ -546,6 +546,73 @@ class TestOneWordExit:
         assert values.dtype == np.float64 and values.shape == (0,)
 
 
+class TestObjectiveFloor:
+    """No objective rounds below 0.0, and none rounds to 0.0 on a dataset that is not
+    separable: the CE step stops scoring once zeros fill its cutoff."""
+
+    @staticmethod
+    def check(ds, masks):
+        # The default chunks, and one mask per chunk.
+        for budget in (info._CHUNK_WORDS, 1):
+            with mock.patch.object(info, "_CHUNK_WORDS", budget):
+                values = evaluate_objective(ds, masks)
+            assert (np.round(values, 12) >= 0.0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_layouts(), st.randoms())
+    def test_one_and_several_word_layouts(self, layout, rnd):
+        ds, _ = layout
+        masks = [[1] * ds.m, [0] * ds.m] + np.eye(ds.m, dtype=int).tolist()
+        masks += [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(6)]
+        self.check(ds, np.array(masks, dtype=bool))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_layouts())
+    def test_wide_layouts_through_the_one_word_exit(self, layout):
+        ds, masks = layout
+        assert ds.packed.words.shape[1] > 1
+        self.check(ds, masks)
+
+    @staticmethod
+    def check_separable(ds, masks):
+        # Separable exactly when rows with equal features carry one label;
+        # otherwise no mask's objective rounds to 0.0.
+        labels_of = {}
+        for row, label in zip(ds.features.tolist(), ds.labels.tolist()):
+            labels_of.setdefault(tuple(row), set()).add(label)
+        assert ds.separable == all(len(labels) == 1 for labels in labels_of.values())
+        if not ds.separable:
+            assert (np.round(evaluate_objective(ds, masks), 12) > 0.0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_layouts(), st.randoms())
+    def test_separable_on_one_and_several_word_layouts(self, layout, rnd):
+        ds, _ = layout
+        masks = [[1] * ds.m, [0] * ds.m] + [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(6)]
+        self.check_separable(ds, np.array(masks, dtype=bool))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_layouts())
+    def test_separable_on_wide_layouts(self, layout):
+        self.check_separable(*layout)
+
+    def test_a_row_copied_under_another_label_is_not_separable(self, planted50):
+        part = partition_iid(planted50, 10)[0]
+        features, labels = part.features.copy(), part.labels.copy()
+        features[1] = features[0]
+        labels[1] = (labels[0] + 1) % 4
+        assert part.separable and not DiscreteDataset(features, labels).separable
+
+    def test_planted50_masks_holding_the_relevant_set(self, planted50):
+        # Every superset of the planted set sits on the floor, H(y | U) = 0,
+        # on all 4096 rows and on one 409-row client.
+        rng = np.random.default_rng(9)
+        masks = rng.random((200, planted50.m)) < rng.choice([0.05, 0.3, 0.8], (200, 1))
+        masks[:, [0, 1, 2, 3]] = True
+        for ds in (planted50, partition_iid(planted50, 10)[0]):
+            self.check(ds, masks)
+
+
 def loop_entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     """H(y|U) from (2, S, n) group-start flags, one ``np.add.reduce`` per mask and
     grouping: the loop the kernel's segmented sum replaced, kept as its oracle."""
