@@ -249,6 +249,9 @@ def ce_round(
     p_in = np.asarray(p_in, dtype=np.float64)
     if p_in.shape[0] != dataset.m:
         raise ValueError("probability vector length must equal feature count")
+    # min and max propagate NaN, which fails both comparisons.
+    if not (0.0 <= p_in.min() and p_in.max() <= 1.0):
+        raise ValueError("probabilities must be finite and in [0, 1]")
     masks = sample_masks(p_in, params.sample_count, [params.rng_seed, round_index])
     return ce_update(dataset, p_in, masks, params, round_index)
 

@@ -23,8 +23,7 @@ _POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
 # Packed words (masks x n x words per row) that one chunk of evaluate_objective
 # sorts at once: 2**14 words or one mask, whichever is larger, so peak
 # memory stays flat in S. Wide data (mav: 727 x 34 words) gets one mask per
-# chunk, whose temporaries each exceed the budget. Its one-word early exit
-# sorts masks x n single words per chunk, under the same budget.
+# chunk, whose temporaries each exceed the budget.
 _CHUNK_WORDS = 2**14
 # Code dtypes from narrowest to widest, each with the largest value it holds.
 # Never uint64: numpy promotes uint64 with int64 to float64.
@@ -55,6 +54,8 @@ class DiscreteDataset:
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise ValueError("labels must be a vector with one entry per row")
         for arr, what in ((features, "feature"), (labels, "label")):
+            if arr.dtype.kind not in "biuf":
+                raise ValueError(f"{what} values must be numbers")
             # Float codes are range-checked before any cast, which would wrap past 2**63.
             if not np.issubdtype(arr.dtype, np.integer):
                 if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
@@ -220,6 +221,11 @@ def _group_starts(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
     The label holds the lowest bits of the last word, so a U group begins
     where they still differ with every label bit set: where the XOR ``step``
     of their last words exceeds ``label_field``, or an earlier word's is nonzero.
+
+    Every mask's rows are first sorted on the first live word alone. On
+    several words, a mask with no repeat there has only singleton groups,
+    as rows that differ on part of its bits differ on all of them; only
+    the masks with a repeat take the sort on every live word.
     """
     count, (n, width) = masks.shape[0], packed.words.shape
     fields = np.bitwise_or.reduceat(masks * packed.fields, packed.word_starts, axis=1)
@@ -228,25 +234,29 @@ def _group_starts(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
     kept[:, -1] |= packed.label_field
     live = kept.any(axis=0).nonzero()[0]
     starts = np.empty((2, count, n), dtype=bool)
-    starts[:, :, 0] = True
+    rows = packed.words[:, live[0]] & kept[:, live[0], None]
+    rows.sort(axis=1)
     if live.size == 1:
+        starts[:, :, 0] = True
         # Compared in place: an XOR array would be a second (S, n) temporary.
-        rows = packed.words[:, -1] & kept[:, -1:]
-        rows.sort(axis=1)
         np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[0, :, 1:])
         rows |= packed.label_field
         np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[1, :, 1:])
         return starts
+    wide = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    starts.fill(True)
+    if not wide.any():
+        return starts
     words = packed.words if live.size == width else packed.words[:, live]
-    keys = (words & kept[:, None, live]).astype(">u8", order="C")
+    keys = (words & kept[wide][:, None, live]).astype(">u8", order="C")
     # Sorted as big-endian bytes, read back as native words: XOR is bytewise,
     # so which words differ does not change, and a byteswap gives the tail its value.
     rows = np.sort(keys.view(np.dtype((np.void, live.size * 8))), axis=1).view(np.uint64)
     step = rows[:, 1:] ^ rows[:, :-1]
     tail = step[..., -1].byteswap()
-    np.not_equal(tail, 0, out=starts[0, :, 1:])
-    np.greater(tail, packed.label_field, out=starts[1, :, 1:])
-    starts[:, :, 1:] |= step[..., :-1].any(axis=2)
+    head = step[..., :-1].any(axis=2)
+    starts[0, wide, 1:] = head | (tail != 0)
+    starts[1, wide, 1:] = head | (tail > packed.label_field)
     return starts
 
 
@@ -280,30 +290,6 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     return values
 
 
-def _told_apart_by_one_word(packed: PackedRows, masks: np.ndarray) -> np.ndarray:
-    """Whether each mask's selected bits in one packed word already make its rows distinct.
-
-    The word is the one holding the most of the mask's selected columns.
-    Rows distinct on part of the mask are distinct on all of it.
-    """
-    counts = np.add.reduceat(masks, packed.word_starts, axis=1, dtype=np.intp)
-    best = counts.argmax(axis=1)
-    bits = np.bitwise_or.reduceat(masks * packed.fields, packed.word_starts, axis=1)
-    keys = packed.words.T[best]
-    keys &= bits[np.arange(masks.shape[0]), best, None]
-    keys.sort(axis=1)
-    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
-
-
-def _scored(packed: PackedRows, terms_of: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The sorting path of :func:`evaluate_objective`, one chunk of masks at a time."""
-    values = np.zeros(masks.shape[0])
-    chunk = max(1, _CHUNK_WORDS // packed.words.size)
-    for i in range(0, masks.shape[0], chunk):
-        values[i : i + chunk] = _entropy_gaps(_group_starts(packed, masks[i : i + chunk]), terms_of)
-    return values
-
-
 def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
     """:func:`conditional_entropy` of each row of an (S, m) batch of masks, unchecked.
 
@@ -318,28 +304,21 @@ def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarra
     summed as one ``np.add.reduce`` over its counts, with no Python loop per
     mask, so the values are the bits of grouping on the tuples directly.
 
+    Rows that span several words are first sorted on the first word any
+    mask of the chunk keeps, masked to each mask's bits there. A mask whose
+    rows all differ on that word has only singleton groups and scores 0.0,
+    as the full sort gives it; only the other masks take the full sort.
+
     Masks are scored in chunks of ``_CHUNK_WORDS`` packed words or one mask,
     whichever is larger, one (chunk, n) sort and one segmented sum per
     chunk, so the temporaries do not grow with S.
-
-    Rows that span several words first take an early exit: each mask's rows
-    are sorted on the one word that holds the most of its selected columns,
-    masked to those columns, ``_CHUNK_WORDS // n`` masks (at least one) per
-    (chunk, n) uint64 sort. A mask whose rows all differ there has only
-    singleton groups and scores 0.0, as the full sort gives it; the empty
-    mask passes only when n = 1, where both give 0.0. Only the other masks
-    take the full sort. Single-word rows skip the exit.
     """
     packed, terms_of = dataset.packed, dataset.group_terms
     masks = np.asarray(masks, dtype=bool)
-    if packed.words.shape[1] == 1:
-        return _scored(packed, terms_of, masks)
     values = np.zeros(masks.shape[0])
-    step = max(1, _CHUNK_WORDS // packed.words.shape[0])
-    for i in range(0, masks.shape[0], step):
-        batch = masks[i : i + step]
-        rest = np.flatnonzero(~_told_apart_by_one_word(packed, batch))
-        values[i + rest] = _scored(packed, terms_of, batch[rest])
+    chunk = max(1, _CHUNK_WORDS // packed.words.size)
+    for i in range(0, masks.shape[0], chunk):
+        values[i : i + chunk] = _entropy_gaps(_group_starts(packed, masks[i : i + chunk]), terms_of)
     return values
 
 

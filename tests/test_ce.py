@@ -372,6 +372,12 @@ class TestCeRound:
         with pytest.raises(ValueError):
             ce_round(xor_dataset, uniform_probs(3), CEParams())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_refuses_a_probability_outside_0_1(self, xor_dataset, bad):
+        with pytest.raises(ValueError, match="probabilities"):
+            ce_round(xor_dataset, [0.5, bad], CEParams(sample_count=4))
+        assert ce_round(xor_dataset, [0.0, 1.0], CEParams(sample_count=4)).shape == (2,)
+
     @pytest.mark.parametrize("alpha_mode", ["fixed", "schedule"])
     def test_is_sample_then_update(self, xor_noise_dataset, alpha_mode):
         params = CEParams(sample_count=30, alpha_mode=alpha_mode, rng_seed=11)

@@ -443,59 +443,25 @@ def wide_layouts(draw):
     return DiscreteDataset(features, labels), masks
 
 
-def sorted_only(ds, masks):
-    """evaluate_objective with the one-word exit bypassed: every mask takes the sort."""
-    undecided = lambda packed, batch: np.zeros(batch.shape[0], dtype=bool)
-    with mock.patch.object(info, "_told_apart_by_one_word", undecided):
-        return evaluate_objective(ds, masks)
-
-
-def told_apart_reference(ds, masks):
-    """The exit's decision from the codes: the word holding the most selected
-    columns (the first on ties) alone makes every row distinct."""
-    word_of = np.searchsorted(ds.packed.word_starts, np.arange(ds.m), side="right") - 1
-    decided = []
-    for mask in masks:
-        counts = np.bincount(word_of[mask], minlength=ds.packed.word_starts.size)
-        columns = mask & (word_of == counts.argmax())
-        decided.append(len(np.unique(ds.features[:, columns], axis=0)) == ds.n)
-    return decided
+def two_word_dataset(first_word, later, labels):
+    """Binary rows over two packed words: 64 columns fill word 0, and column 64
+    shares word 1 with the label. Columns 0 and 1 take ``first_word``, column
+    64 ``later`` and the rest 0."""
+    features = np.zeros((len(labels), 65), dtype=np.int64)
+    features[:, :2] = first_word
+    features[:, 64] = later
+    ds = DiscreteDataset(features, labels)
+    assert ds.packed.words.shape[1] == 2
+    return ds
 
 
 class TestOneWordExit:
-    """Masks whose rows one packed word tells apart score 0.0 without the wide sort."""
-
-    def check_decision(self, ds, masks):
-        decided = info._told_apart_by_one_word(ds.packed, masks)
-        assert decided.tolist() == told_apart_reference(ds, masks)
-
-    @settings(max_examples=200, deadline=None)
-    @given(packed_layouts(), st.randoms())
-    def test_decision_on_packed_layouts(self, layout, rnd):
-        ds, _ = layout
-        tops = ds.features.max(axis=0).astype(np.int64)
-        assume(ds.packed.words.shape[1] > 1 and (tops > 1).any())
-        masks = [[1] * ds.m, [0] * ds.m] + np.eye(ds.m, dtype=int).tolist()
-        masks += [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(6)]
-        masks = np.array(masks, dtype=bool)
-        self.check_decision(ds, masks)
-        # The same layout with each code its column's top code less at most one
-        # bit, so a field that loses any of its bits merges rows.
-        rng = np.random.default_rng(rnd.getrandbits(32))
-        widths = np.array([int(top).bit_length() for top in tops])
-        flipped = (1 << rng.integers(0, widths + 1, size=(ds.n, ds.m))) & tops
-        flipped[0] = 0
-        self.check_decision(DiscreteDataset(tops ^ flipped, ds.labels), masks)
-
-    @settings(max_examples=150, deadline=None)
-    @given(wide_layouts())
-    def test_decision_on_wide_layouts(self, layout):
-        self.check_decision(*layout)
+    """Masks whose rows the first live word tells apart score 0.0 without the wide sort."""
 
     def check(self, ds, masks):
         expected = [mixed_radix_conditional_entropy(ds, mask) for mask in masks]
         assert evaluate_objective(ds, masks).tolist() == expected
-        assert sorted_only(ds, masks).tolist() == expected
+        assert [conditional_entropy(ds, mask) for mask in masks] == expected
         # Three masks per one-word chunk, so the batch spans several.
         with mock.patch.object(info, "_CHUNK_WORDS", 3 * ds.n):
             assert evaluate_objective(ds, masks).tolist() == expected
@@ -516,28 +482,24 @@ class TestOneWordExit:
         assert ds.packed.words.shape[1] > 1
         self.check(ds, masks)
 
-    def test_decided_masks_skip_the_sort(self, monkeypatch, planted50):
-        rng = np.random.default_rng(4)
-        wide = DiscreteDataset(rng.integers(0, 2, (300, 200)), rng.integers(0, 3, 300))
-        masks = rng.random((30, 200)) < rng.choice([0.01, 0.05, 0.5], (30, 1))
-        sorted_masks = []
-        group_starts = info._group_starts
+    # Masks: every column; columns 0, 1 and 64; column 0 alone; column 64 alone,
+    # whose only live word is the label's; none.
+    masks = np.zeros((5, 65), dtype=bool)
+    masks[0] = True
+    masks[1, [0, 1, 64]] = True
+    masks[2, 0] = True
+    masks[3, 64] = True
 
-        def spy(packed, batch):
-            sorted_masks.extend(batch.tolist())
-            return group_starts(packed, batch)
+    def test_rows_equal_on_the_first_word_split_on_a_later_one(self):
+        ds = two_word_dataset([[1, 0]] * 6, [0, 0, 1, 1, 1, 0], [0, 1, 1, 1, 0, 1])
+        self.check(ds, self.masks)
+        # Column 64 splits the rows 3 + 3, each group's labels 2 to 1.
+        assert evaluate_objective(ds, self.masks[:2]) == pytest.approx([math.log2(3) - 2 / 3] * 2)
 
-        monkeypatch.setattr(info, "_group_starts", spy)
-        decided = info._told_apart_by_one_word(wide.packed, masks)
-        assert 0 < decided.sum() < len(masks)
-        values = evaluate_objective(wide, masks)
-        assert sorted_masks == masks[~decided].tolist()
-        assert values[decided].tolist() == [0.0] * decided.sum()
-        # Single-word rows skip the exit: every mask is sorted.
-        sorted_masks.clear()
-        monkeypatch.setattr(info, "_told_apart_by_one_word", None)
-        evaluate_objective(planted50, masks[:, :50])
-        assert sorted_masks == masks[:, :50].tolist()
+    def test_rows_distinct_on_the_first_word(self):
+        ds = two_word_dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 1, 1, 0], [0, 1, 1, 1])
+        self.check(ds, self.masks)
+        assert evaluate_objective(ds, self.masks[:2]).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("top", [1, 2**40])
     def test_empty_batch(self, top):
@@ -568,7 +530,7 @@ class TestObjectiveFloor:
 
     @settings(max_examples=150, deadline=None)
     @given(wide_layouts())
-    def test_wide_layouts_through_the_one_word_exit(self, layout):
+    def test_wide_layouts(self, layout):
         ds, masks = layout
         assert ds.packed.words.shape[1] > 1
         self.check(ds, masks)
@@ -756,6 +718,20 @@ class TestDatasetValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DiscreteDataset(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "codes", [np.array([["a"]]), np.array([[b"a"]]), np.array([[1]], dtype=object), np.array([[1 + 0j]])]
+    )
+    def test_rejects_codes_that_are_not_numbers(self, codes):
+        with pytest.raises(ValueError, match="^feature values must be numbers$"):
+            DiscreteDataset(codes, [0])
+        with pytest.raises(ValueError, match="^label values must be numbers$"):
+            DiscreteDataset([[0]], codes[0])
+
+    def test_bool_codes_stored_as_uint8(self):
+        ds = DiscreteDataset(np.array([[True, False]]), np.array([True]))
+        assert ds.features.dtype == ds.labels.dtype == np.uint8
+        assert ds.features.tolist() == [[1, 0]] and ds.labels.tolist() == [1]
 
     def test_immutable_arrays(self, xor_dataset):
         with pytest.raises(ValueError):
