@@ -16,12 +16,13 @@ tie-break favours no feature position.
 
 The ordering lives in :func:`rank_masks` alone and the cut in
 :func:`elite_update` alone, which takes any number of batches at once and
-reads only the order of their ranks. :func:`ce_update` scores the distinct
-masks of one batch in their order at objective 0 and stops once masks that
-score 0, the objective's floor, fill the cutoff: only those need a score
-(on data that no feature set separates, none scores 0 and it scores them
-all at once); :mod:`fedfs.bounds` reads the ranks of every live
-Monte-Carlo trial from a table of all masks.
+reads only the order of their ranks. :func:`ce_update` scans the distinct
+masks of one batch in their order at objective 0, one kernel chunk at a
+time, and stops once masks that score 0, the objective's floor, fill the
+cutoff: only those need a score, so the exact sums of the others run only
+when the scan ends short (on data that no feature set separates, none
+scores 0 and it scores them all at once); :mod:`fedfs.bounds` reads the
+ranks of every live Monte-Carlo trial from a table of all masks.
 """
 
 from __future__ import annotations
@@ -187,48 +188,47 @@ def ce_update(
     params: CEParams,
     round_index: int,
 ) -> np.ndarray:
-    """Score already-sampled masks, as many as the elite needs, and pull p toward their elite.
+    """Score already-sampled masks, as far as the elite needs, and pull p toward their elite.
 
-    The (S, m) batch is checked once and deduplicated. The distinct masks are
-    scanned in the order :func:`rank_masks` gives them at objective 0 (by
-    popcount, then digest) and scored by :func:`evaluate_objective` in
-    slices: first ``need`` masks, the elite's nearest-rank size
-    ceil((1-beta)*S), then as many as were scanned so far, so the calls
-    grow about as log2 of the distinct count. A slice never splits masks of
-    equal scan rank. The scan stops once the copies of scanned masks whose
-    objective rounds to 0.0 reach ``need``.
+    p must hold m finite probabilities in [0, 1]. The (S, m) batch is checked
+    once and deduplicated. The distinct masks are scanned in the order
+    :func:`rank_masks` gives them at objective 0 (by popcount, then digest)
+    by one :func:`evaluate_objective` call, chunk by chunk. The scan stops
+    after the first chunk by whose end the copies of masks whose objective
+    rounds to 0.0 reach ``need``, the elite's nearest-rank size
+    ceil((1-beta)*S), and never between masks of equal scan rank. Only then
+    are masks that score above 0 summed: if the scan settles, they read +inf,
+    as unscanned ones do.
 
-    No objective is below 0, so every unscanned mask ranks after those
-    zeros, and the nearest-rank cutoff falls on one of them: the elite is
-    the one scoring every mask would give. Each mask ranks by its rounded
-    objective, then its scan rank, which is the :func:`rank_masks` order;
-    an unscanned mask counts as +inf. On a dataset that is not
-    :attr:`~fedfs.info.DiscreteDataset.separable` no mask scores 0, so every
-    distinct mask is scored in one call and ranked by :func:`rank_masks`.
-    :func:`elite_update` makes the cut over all S ranks, as
-    :func:`fedfs.bounds.miss_rate_curve` does over its table.
+    No objective is below 0, so every mask that does not score 0 ranks after
+    those zeros, and the nearest-rank cutoff falls on one of them: the elite
+    is the one scoring every mask would give. Each mask ranks by its rounded
+    objective, then its scan rank, which is the :func:`rank_masks` order. On a
+    dataset that is not :attr:`~fedfs.info.DiscreteDataset.separable` no mask
+    scores 0, so every distinct mask is scored in one plain call and ranked by
+    :func:`rank_masks`. :func:`elite_update` makes the cut over all S ranks,
+    as :func:`fedfs.bounds.miss_rate_curve` does over its table.
     """
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (dataset.m,):
+        raise ValueError("probability vector length must equal feature count")
+    # min and max propagate NaN, which fails both comparisons.
+    if not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ValueError("probabilities must be finite and in [0, 1]")
     checked = validate_mask(masks, dataset.m, ndim=2)
     bits = np.packbits(checked, axis=1)
     rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
     _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
     unique = checked[first]
     if not dataset.separable:
-        # No mask can score 0, so the scan would score them all, in more calls.
+        # No mask can score 0, so the scan could not stop early.
         ranks = rank_masks(unique, evaluate_objective(dataset, unique))
         return elite_update(p, checked, ranks[owner], params, round_index)
     scan = rank_masks(unique, np.zeros(len(unique)))
     order = np.argsort(scan, kind="stable")
     unique, copies, scan = unique[order], copies[order], scan[order]
     need = _cutoff(len(checked), params.beta) + 1
-    objectives = np.full(len(unique), np.inf)
-    done = zeros = 0
-    while done < len(unique) and zeros < need:
-        end = min(max(need, 2 * done), len(unique))
-        end = int(np.searchsorted(scan, scan[end - 1], side="right"))
-        objectives[done:end] = np.round(evaluate_objective(dataset, unique[done:end]), 12)
-        zeros += int(copies[done:end] @ (objectives[done:end] == 0.0))
-        done = end
+    objectives = np.round(evaluate_objective(dataset, unique, copies, need, scan), 12)
     # rank_masks's key, whose (popcount, digest) part the scan rank already orders.
     ranks = np.empty_like(scan)
     ranks[order] = np.unique(objectives, return_inverse=True)[1] * len(unique) + scan
@@ -241,17 +241,11 @@ def ce_round(
     params: CEParams,
     round_index: int = 1,
 ) -> np.ndarray:
-    """Sample ``params.sample_count`` masks from p_in, then :func:`ce_update`.
+    """Sample ``params.sample_count`` masks from p_in, then :func:`ce_update`, which checks p_in.
 
     Deterministic given (dataset, p_in, params, round_index): the sampling
     stream is derived from the seed and the round index.
     """
-    p_in = np.asarray(p_in, dtype=np.float64)
-    if p_in.shape[0] != dataset.m:
-        raise ValueError("probability vector length must equal feature count")
-    # min and max propagate NaN, which fails both comparisons.
-    if not (0.0 <= p_in.min() and p_in.max() <= 1.0):
-        raise ValueError("probabilities must be finite and in [0, 1]")
     masks = sample_masks(p_in, params.sample_count, [params.rng_seed, round_index])
     return ce_update(dataset, p_in, masks, params, round_index)
 

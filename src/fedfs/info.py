@@ -264,19 +264,17 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     """H(y|U) = H(U, y) - H(U) for each mask, from :func:`_group_starts` flags.
 
     A group of c of the n rows adds ``terms_of[c]`` = (c/n) log2(c/n) to -H.
-    A mask whose two flag rows agree has H(y|U) = 0 and is not summed. The
-    others' groupings are laid out as blocks of a sentinel start and n row
+    The groupings are laid out as blocks of a sentinel start and n row
     flags, and one ``np.add.reduceat`` at the sentinels, whose terms are 0.0,
     sums every block: a segment led by 0.0 gives the bits of ``np.add.reduce``
-    over the rest, so a mask scores the same alone or in any chunk.
+    over the rest, so a mask scores the same alone or in any chunk. A mask
+    whose two flag rows agree sums to 0.0; the kernel passes only the others.
     """
     count, n = starts.shape[1:]
-    values = np.zeros(count)
-    split = np.flatnonzero((starts[0] != starts[1]).any(axis=1))
-    if not split.size:
-        return values
-    flags = np.ones(2 * split.size * (n + 1) + 1, dtype=bool)
-    flags[:-1].reshape(2, split.size, n + 1)[:, :, 1:] = starts[:, split]
+    if not count:
+        return np.zeros(0)
+    flags = np.ones(2 * count * (n + 1) + 1, dtype=bool)
+    flags[:-1].reshape(2, count, n + 1)[:, :, 1:] = starts
     at = np.flatnonzero(flags)
     heads = np.searchsorted(at, np.arange(0, at[-1], n + 1))
     # At most two n-scale temporaries alive: with three, the heap shrank and regrew every chunk.
@@ -284,13 +282,19 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     del at
     terms = terms_of[sizes]
     terms[heads] = 0.0
-    pair, joint = -np.add.reduceat(terms, heads).reshape(2, split.size)
-    values[split] = pair - joint
+    pair, joint = -np.add.reduceat(terms, heads).reshape(2, count)
+    values = pair - joint
     values[(-NEG_CLAMP < values) & (values < 0.0)] = 0.0
     return values
 
 
-def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarray:
+def evaluate_objective(
+    dataset: DiscreteDataset,
+    masks: np.ndarray,
+    copies: np.ndarray | None = None,
+    need: int = 0,
+    scan: np.ndarray | None = None,
+) -> np.ndarray:
     """:func:`conditional_entropy` of each row of an (S, m) batch of masks, unchecked.
 
     The caller checks the batch, as with ``validate_mask(masks, m, ndim=2)``.
@@ -300,9 +304,10 @@ def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarra
     on several as big-endian byte strings, whose order is the lexicographic
     order of the (masked columns, label) tuples. Adjacent sorted rows that
     differ in a kept bit begin a (U, y) group, and in a column bit a U group,
-    in the order ``np.unique`` gives the tuples. Each grouping's terms are
-    summed as one ``np.add.reduce`` over its counts, with no Python loop per
-    mask, so the values are the bits of grouping on the tuples directly.
+    in the order ``np.unique`` gives the tuples. A mask whose two groupings
+    agree scores 0.0; the others' terms are summed as one ``np.add.reduce``
+    per grouping, with no Python loop per mask, so the values are the bits of
+    grouping on the tuples directly.
 
     Rows that span several words are first sorted on the first word any
     mask of the chunk keeps, masked to each mask's bits there. A mask whose
@@ -310,15 +315,41 @@ def evaluate_objective(dataset: DiscreteDataset, masks: np.ndarray) -> np.ndarra
     as the full sort gives it; only the other masks take the full sort.
 
     Masks are scored in chunks of ``_CHUNK_WORDS`` packed words or one mask,
-    whichever is larger, one (chunk, n) sort and one segmented sum per
-    chunk, so the temporaries do not grow with S.
+    whichever is larger, one (chunk, n) sort per chunk, so the temporaries
+    do not grow with S.
+
+    With ``copies`` (each mask's count in its batch), ``need`` and ``scan``
+    (ascending ranks), the batch is an elite scan. The loop stops after the
+    first chunk by whose end the copies of masks scoring 0.0 reach ``need``,
+    never between two masks of equal ``scan`` rank; every other mask, unscanned
+    or split, then reads +inf. The sums of split masks wait, their flags
+    packed eight rows to a byte, and run only if the scan ends short of
+    ``need``: the values are then exact, as without ``copies``.
     """
     packed, terms_of = dataset.packed, dataset.group_terms
     masks = np.asarray(masks, dtype=bool)
-    values = np.zeros(masks.shape[0])
+    count, n = masks.shape[0], dataset.n
+    values = np.zeros(count)
     chunk = max(1, _CHUNK_WORDS // packed.words.size)
-    for i in range(0, masks.shape[0], chunk):
-        values[i : i + chunk] = _entropy_gaps(_group_starts(packed, masks[i : i + chunk]), terms_of)
+    deferred = []
+    zeros = 0
+    for i in range(0, count, chunk):
+        starts = _group_starts(packed, masks[i : i + chunk])
+        split = (starts[0] != starts[1]).any(axis=1)
+        at = i + np.flatnonzero(split)
+        if copies is None:
+            if at.size:
+                values[at] = _entropy_gaps(starts[:, split], terms_of)
+            continue
+        values[at] = np.inf
+        deferred.append((at, np.packbits(starts[:, split], axis=2)))
+        zeros += int(copies[i : i + chunk][~split].sum())
+        end = i + chunk
+        if zeros >= need and (end >= count or scan[end] != scan[end - 1]):
+            values[end:] = np.inf
+            return values
+    for at, flags in deferred:
+        values[at] = _entropy_gaps(np.unpackbits(flags, axis=2, count=n).view(bool), terms_of)
     return values
 
 

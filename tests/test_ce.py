@@ -1,8 +1,11 @@
 """Cross-entropy round mechanics: sampling, percentile, update, selection."""
 
 import math
+import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
+from dataclasses import replace
+from itertools import chain, combinations
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfs import ce
+from fedfs import ce, info
 from fedfs.ce import (
     CEParams,
     ce_round,
@@ -23,8 +26,10 @@ from fedfs.ce import (
     select_features,
     uniform_probs,
 )
-from fedfs.datasets import PlantedSpec, generate_planted
+from fedfs.datasets import PlantedSpec, generate_planted, partition_iid
 from fedfs.info import DiscreteDataset, conditional_entropy
+
+group_starts, entropy_gaps = info._group_starts, info._entropy_gaps
 
 
 class TestSampleMasks:
@@ -378,6 +383,16 @@ class TestCeRound:
             ce_round(xor_dataset, [0.5, bad], CEParams(sample_count=4))
         assert ce_round(xor_dataset, [0.0, 1.0], CEParams(sample_count=4)).shape == (2,)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [([np.nan, 0.5], "probabilities"), ([1.7, -3.0], "probabilities"), ([0.5, 0.5, 0.5], "length")],
+    )
+    def test_update_refuses_a_bad_probability_vector(self, xor_dataset, bad, match):
+        # ce_round is not the only caller: neither NaN nor an entry outside [0, 1] may reach the update.
+        masks = sample_masks(uniform_probs(2), 10, 1)
+        with pytest.raises(ValueError, match=match):
+            ce_update(xor_dataset, bad, masks, CEParams(sample_count=10), 1)
+
     @pytest.mark.parametrize("alpha_mode", ["fixed", "schedule"])
     def test_is_sample_then_update(self, xor_noise_dataset, alpha_mode):
         params = CEParams(sample_count=30, alpha_mode=alpha_mode, rng_seed=11)
@@ -421,7 +436,7 @@ def rounds_with_copies(draw):
     Either m <= 4, where copies are common anyway, or m = 50 with every
     probability near 0 or 1, as in a settled vector. With ``collide`` the
     caller patches in a constant digest, so masks of equal popcount tie in
-    rank and their runs straddle the scan's slice edges.
+    rank and their runs straddle the scan's chunk edges.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -456,14 +471,26 @@ def digests(collide):
     return mock.patch.object(ce, "digest_masks", constant_digest) if collide else nullcontext()
 
 
-def scored_slices(dataset, p, masks, params, round_index):
-    """The rows of each batch ce_update passes to evaluate_objective, the size of
-    each batch it passes to rank_masks and to elite_update, in call order."""
-    calls, ranked, updated = [], [], []
+def traced_scan(dataset, p, masks, params, round_index):
+    """What one ce_update call does, seen through spies: the rows, scan arguments and
+    result of each evaluate_objective call, the masks each chunk sorts, the values of the
+    masks summed, and the size of each batch passed to rank_masks and elite_update."""
+    dataset.separable  # computed before the spies, by a kernel call of its own
+    calls, chunks, summed, ranked, updated = [], [], [], [], []
 
-    def scoring(ds, batch):
-        calls.append([tuple(int(b) for b in row) for row in batch])
-        return evaluate_objective(ds, batch)
+    def scoring(ds, batch, *scan):
+        values = evaluate_objective(ds, batch, *scan)
+        calls.append(([tuple(int(b) for b in row) for row in batch], scan, values))
+        return values
+
+    def sorting(packed, batch):
+        chunks.append(len(batch))
+        return group_starts(packed, batch)
+
+    def summing(starts, terms_of):
+        values = entropy_gaps(starts, terms_of)
+        summed.extend(values.tolist())
+        return values
 
     def ranking(batch, objectives):
         ranked.append(len(batch))
@@ -475,11 +502,22 @@ def scored_slices(dataset, p, masks, params, round_index):
 
     with (
         mock.patch.object(ce, "evaluate_objective", scoring),
+        mock.patch.object(info, "_group_starts", sorting),
+        mock.patch.object(info, "_entropy_gaps", summing),
         mock.patch.object(ce, "rank_masks", ranking),
         mock.patch.object(ce, "elite_update", updating),
     ):
-        ce_update(dataset, p, masks, params, round_index)
-    return calls, ranked, updated
+        result = ce_update(dataset, p, masks, params, round_index)
+    return result, calls, chunks, summed, ranked, updated
+
+
+def chunked(dataset, per_chunk):
+    """A kernel budget of ``per_chunk`` masks a chunk on this dataset."""
+    return mock.patch.object(info, "_CHUNK_WORDS", per_chunk * dataset.packed.words.size)
+
+
+def nonzero_values(dataset, rows):
+    return sorted(v for v in evaluate_objective(dataset, np.array(rows, dtype=bool).reshape(-1, dataset.m)) if v > 0.0)
 
 
 class TestDistinctMasks:
@@ -493,63 +531,88 @@ class TestDistinctMasks:
             expected = score_every_copy(*case)
             assert ce_update(*case).tolist() == expected.tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(rounds_with_copies(), st.integers(1, 3), st.floats(0.01, 0.99))
+    def test_equals_scoring_every_copy_over_many_chunks(self, case, per_chunk, beta):
+        # A chunk of one to three masks, so the scan stops, or ends unsettled, after many.
+        *case, collide = case
+        case[3] = replace(case[3], beta=beta)
+        with digests(collide), chunked(case[0], per_chunk):
+            expected = score_every_copy(*case)
+            assert ce_update(*case).tobytes() == expected.tobytes()
+
     @settings(max_examples=150, deadline=None)
-    @given(rounds_with_copies())
-    def test_each_distinct_mask_scored_and_ranked_once(self, case):
-        # On a separable dataset the scoring calls take consecutive, disjoint
-        # slices of the distinct masks in scan order, (popcount, digest): the
-        # first ceil((1-beta)*S), then twice the masks scanned so far, each
-        # slice stretched to the end of its run of equal keys. The first slice
-        # after which the copies of zero-scoring masks reach ceil((1-beta)*S)
-        # is the last. On any other dataset one call scores every distinct
-        # mask. Either way one rank_masks call covers every distinct mask, and
-        # one elite_update call all S masks.
+    @given(rounds_with_copies(), st.integers(1, 3))
+    def test_each_distinct_mask_scored_and_ranked_once(self, case, per_chunk):
+        # On a separable dataset one evaluate_objective call scans the distinct
+        # masks in (popcount, digest) order, a chunk at a time. It stops after
+        # the first chunk by whose end the copies of zero-scoring masks reach
+        # ceil((1-beta)*S) and whose last mask differs in key from the next.
+        # Split masks are summed only if no chunk settles the round, then each
+        # once. On any other dataset one plain call sorts and sums every
+        # distinct mask. Either way one rank_masks call covers every distinct
+        # mask, and one elite_update call all S masks.
         *case, collide = case
         dataset, _, masks, params, _ = case
-        with digests(collide):
-            calls, ranked, updated = scored_slices(*case)
+        with digests(collide), chunked(dataset, per_chunk):
+            _, calls, chunks, summed, ranked, updated = traced_scan(*case)
         copies = Counter(tuple(int(b) for b in row) for row in masks)
         assert ranked == [len(copies)] and updated == [len(masks)]
-        scanned = [row for call in calls for row in call]
-        assert len(set(scanned)) == len(scanned)
+        assert len(calls) == 1 and all(size <= per_chunk for size in chunks)
+        (scanned, scan, values), = calls
+        assert len(set(scanned)) == len(scanned) == len(copies)
+        zero = {row: round(conditional_entropy(dataset, row), 12) == 0.0 for row in copies}
         if not dataset.separable:
-            assert len(calls) == 1 and set(scanned) == set(copies)
+            assert scan == () and sum(chunks) == len(copies)
+            assert sorted(summed) == nonzero_values(dataset, [row for row in scanned if not zero[row]])
             return
 
         def key(row):
             return (sum(row), 0 if collide else mask_digest(np.array(row)))
 
-        distinct = sorted(copies, key=key)
         need = min(max(math.ceil((1.0 - params.beta) * len(masks)), 1), len(masks))
-        assert [key(row) for row in scanned] == [key(row) for row in distinct[: len(scanned)]]
-        zeros = done = 0
-        for call in calls:
-            assert zeros < need and done < len(distinct)
-            end = min(max(need, 2 * done), len(distinct))
-            while end < len(distinct) and key(distinct[end - 1]) == key(distinct[end]):
-                end += 1
-            assert done + len(call) == end
-            done = end
-            zeros += sum(copies[row] for row in call if round(conditional_entropy(dataset, row), 12) == 0.0)
-        assert zeros >= need or done == len(distinct)
+        assert [key(row) for row in scanned] == sorted(key(row) for row in copies)
+        assert scan[0].tolist() == [copies[row] for row in scanned] and scan[1] == need
+        zeros = end = 0
+        while end < len(scanned):
+            zeros += sum(copies[row] for row in scanned[end : end + per_chunk] if zero[row])
+            end = min(end + per_chunk, len(scanned))
+            if zeros >= need and (end == len(scanned) or key(scanned[end - 1]) != key(scanned[end])):
+                break
+        assert sum(chunks) == end
+        settled = zeros >= need
+        assert sorted(summed) == ([] if settled else nonzero_values(dataset, [row for row in scanned if not zero[row]]))
+        # Settled, every mask but the scanned zeros reads +inf; otherwise every value is exact.
+        if settled:
+            assert values.tolist() == [0.0 if i < end and zero[row] else np.inf for i, row in enumerate(scanned)]
+        else:
+            assert values.tobytes() == evaluate_objective(dataset, np.array(scanned, dtype=bool)).tobytes()
 
     def test_xor_noise_round_scores_each_distinct_mask_once(self, xor_noise_dataset):
         masks = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 1]])
-        calls, ranked, updated = scored_slices(xor_noise_dataset, uniform_probs(3), masks, CEParams(sample_count=6, beta=0.5), 1)
-        # need = 3 masks, and only (1, 1, 0) scores 0: one slice of all three distinct masks.
-        assert [sorted(call) for call in calls] == [sorted([(0, 0, 0), (1, 0, 1), (1, 1, 0)])]
-        assert ranked == [3] and updated == [6]
+        params = CEParams(sample_count=6, beta=0.5)
+        _, calls, chunks, summed, ranked, updated = traced_scan(xor_noise_dataset, uniform_probs(3), masks, params, 1)
+        # need = 3 masks, and only (1, 1, 0) scores 0: the scan sorts all three
+        # distinct masks in one chunk, ends unsettled and sums the other two once each.
+        assert [sorted(rows) for rows, _, _ in calls] == [sorted([(0, 0, 0), (1, 0, 1), (1, 1, 0)])]
+        assert chunks == [3] and ranked == [3] and updated == [6]
+        assert sorted(summed) == nonzero_values(xor_noise_dataset, [(0, 0, 0), (1, 0, 1)])
+        assert len(summed) == 2 and min(summed) > 0.0
 
-    def test_constant_label_stops_after_the_first_slice(self):
-        # Every mask scores 0, so the first ceil((1-beta)*S) = 10 distinct masks settle the elite.
+    def test_constant_label_stops_after_the_first_chunk(self):
+        # Every mask scores 0, so the chunk that holds the first ceil((1-beta)*S) = 10
+        # distinct masks settles the elite, and no mask is summed.
         rng = np.random.default_rng(5)
         dataset = DiscreteDataset(rng.integers(0, 3, size=(30, 12)), np.zeros(30, dtype=int))
         masks = sample_masks(uniform_probs(12), 100, rng)
         params = CEParams(sample_count=100, beta=0.9)
-        calls, _, _ = scored_slices(dataset, uniform_probs(12), masks, params, 1)
-        assert len(calls) == 1 and len(calls[0]) == 10
         expected = score_every_copy(dataset, uniform_probs(12), masks, params, 1)
-        assert ce_update(dataset, uniform_probs(12), masks, params, 1).tolist() == expected.tolist()
+        result, _, chunks, summed, _, _ = traced_scan(dataset, uniform_probs(12), masks, params, 1)
+        assert len(chunks) == 1 and summed == [] and result.tobytes() == expected.tobytes()
+        # At four masks a chunk, the third chunk brings the zeros to 10.
+        with chunked(dataset, 4):
+            result, _, chunks, summed, _, _ = traced_scan(dataset, uniform_probs(12), masks, params, 1)
+        assert chunks == [4, 4, 4] and summed == [] and result.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("separable", [False, True])
     def test_no_zero_scores_every_distinct_mask_once(self, separable):
@@ -565,15 +628,63 @@ class TestDistinctMasks:
         masks = sample_masks(np.full(8, 0.4), 60, rng)
         masks[:, 0] = False
         params = CEParams(sample_count=60, beta=0.9)
-        calls, _, _ = scored_slices(dataset, uniform_probs(8), masks, params, 1)
+        with chunked(dataset, 5):
+            _, calls, chunks, summed, _, _ = traced_scan(dataset, uniform_probs(8), masks, params, 1)
         distinct = {tuple(int(b) for b in row) for row in masks}
-        scanned = [row for call in calls for row in call]
+        (scanned, scan, _), = calls
         assert len(scanned) == len(distinct) == len(set(scanned)) and set(scanned) == distinct
-        # 46 distinct masks. Separable: slices of ceil(0.1 * 60) = 6, then
-        # doubling the scanned total. Otherwise one call: no scan could stop early.
-        assert [len(call) for call in calls] == ([6, 6, 12, 22] if separable else [46])
+        # 46 distinct masks, all sorted in chunks of 5 and each summed once: separable,
+        # by a scan that never settles; otherwise by one plain call, which takes no copies.
+        assert chunks == [5] * 9 + [1] and sorted(summed) == nonzero_values(dataset, list(distinct))
+        assert len(summed) == 46 and np.allclose(summed, 1.0)
+        assert (len(scan) == 3) == separable
         expected = score_every_copy(dataset, uniform_probs(8), masks, params, 1)
         assert ce_update(dataset, uniform_probs(8), masks, params, 1).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("rows", [409, 4096])
+    def test_split_masks_summed_only_when_the_round_cannot_settle(self, planted50, rows):
+        # The four planted columns, or their copies (columns 4-9), fix the label.
+        # Kept in every mask, every mask scores 0 and the round settles; all left
+        # out, no mask scores 0 and each distinct one is summed once. Kept in
+        # most masks, the round settles with split masks scanned and none summed.
+        dataset = planted50 if rows == 4096 else partition_iid(planted50, 10)[0]
+        params = CEParams(sample_count=200, beta=0.9)
+        p = np.full(dataset.m, 0.2)
+        for planted, settles in ((1.0 - 1e-6, True), (1e-6, False), (0.85, True)):
+            p[:10] = planted
+            masks = sample_masks(p, 200, [rows, 1])
+            distinct = np.unique(masks, axis=0)
+            values = evaluate_objective(dataset, distinct)
+            result, ((_, _, read),), chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
+            assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
+            if settles:
+                assert summed == [] and sum(chunks) < len(distinct)
+                # Split masks were scanned, read +inf and never summed.
+                assert np.isinf(read[: sum(chunks)]).any() == (planted == 0.85)
+            else:
+                assert (values > 0.0).all() and sum(chunks) == len(distinct)
+                assert sorted(summed) == sorted(values.tolist())
+
+    def test_peak_memory_of_an_unsettled_scan(self, planted50):
+        # 1000 distinct masks of two or three noise columns on 4096 rows: none
+        # scores 0, so the scan never settles. Each mask's flags wait packed,
+        # n/4 bytes a mask (1 MB in all), until the scan ends; unpacked they
+        # would take 8 MB.
+        sets = chain(combinations(range(10, 50), 2), combinations(range(10, 50), 3))
+        masks = np.zeros((1000, planted50.m), dtype=np.uint8)
+        for mask, columns in zip(masks, sets):
+            mask[list(columns)] = 1
+        masks = masks[np.random.default_rng(4).permutation(1000)]
+        p, params = uniform_probs(planted50.m), CEParams(sample_count=1000)
+        assert (evaluate_objective(planted50, masks) > 0.0).all()
+        ce_update(planted50, p, masks[:20], CEParams(sample_count=20), 1)
+        tracemalloc.start()
+        try:
+            ce_update(planted50, p, masks, params, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestCutoffTie:
