@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ce import CEParams, alpha_schedule, elite_update, rank_masks, sample_masks, uniform_probs
+from .ce import CEParams, alpha_schedule, elite_update, rank_masks, sample_masks, uniform_probs, validate_probs
 from .info import NEG_CLAMP, DiscreteDataset, evaluate_objective
 
 # Uniform draws (trials x sample_count x m) one block of Monte-Carlo trials
@@ -129,7 +129,8 @@ def miss_rate_curve(
     nothing because no later sample would use its update. Trials run in
     blocks of at most ``_DRAW_BUDGET`` uniform draws per round, so memory
     stays flat in ``trials``; consecutive draws from one stream equal one
-    draw of their total size, so the blocks do not change the curve.
+    draw of their total size, so the blocks do not change the curve. A given
+    ``p0`` must pass :func:`fedfs.ce.validate_probs`, as ``ce_update``'s p does.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
@@ -138,7 +139,7 @@ def miss_rate_curve(
     table = rank_masks(candidates, objectives)
     bit_values = 1 << np.arange(dataset.m)
     target = _unique_optimum(candidates, objectives) @ bit_values
-    init = uniform_probs(dataset.m) if p0 is None else np.asarray(p0, dtype=np.float64)
+    init = uniform_probs(dataset.m) if p0 is None else validate_probs(p0, dataset.m)
     streams = [np.random.default_rng([params.rng_seed, t]) for t in range(1, t_max + 1)]
     block = max(1, _DRAW_BUDGET // (params.sample_count * dataset.m))
     # The round each trial first hits; t_max + 1 if it never does.

@@ -21,8 +21,9 @@ masks of one batch in their order at objective 0, one kernel chunk at a
 time, and stops once masks that score 0, the objective's floor, fill the
 cutoff: only those need a score, so the exact sums of the others run only
 when the scan ends short (on data that no feature set separates, none
-scores 0 and it scores them all at once); :mod:`fedfs.bounds` reads the
-ranks of every live Monte-Carlo trial from a table of all masks.
+scores 0, so the scan never settles and sums every mask it sorted);
+:mod:`fedfs.bounds` reads the ranks of every live Monte-Carlo trial from a
+table of all masks.
 """
 
 from __future__ import annotations
@@ -84,6 +85,17 @@ def clamp_probs(p: np.ndarray, eps: float = DEFAULT_CLAMP) -> np.ndarray:
 def uniform_probs(m: int) -> np.ndarray:
     """The standard all-0.5 initialization."""
     return np.full(m, 0.5)
+
+
+def validate_probs(p: np.ndarray | Sequence[float], m: int) -> np.ndarray:
+    """Check a probability vector: m entries, each finite and in [0, 1]; return it as float64."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (m,):
+        raise ValueError("probability vector length must equal feature count")
+    # min and max propagate NaN, which fails both comparisons.
+    if not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ValueError("probabilities must be finite and in [0, 1]")
+    return p
 
 
 def sample_masks(p: np.ndarray, count: int, rng_seed) -> np.ndarray:
@@ -203,30 +215,20 @@ def ce_update(
     No objective is below 0, so every mask that does not score 0 ranks after
     those zeros, and the nearest-rank cutoff falls on one of them: the elite
     is the one scoring every mask would give. Each mask ranks by its rounded
-    objective, then its scan rank, which is the :func:`rank_masks` order. On a
-    dataset that is not :attr:`~fedfs.info.DiscreteDataset.separable` no mask
-    scores 0, so every distinct mask is scored in one plain call and ranked by
-    :func:`rank_masks`. :func:`elite_update` makes the cut over all S ranks,
-    as :func:`fedfs.bounds.miss_rate_curve` does over its table.
+    objective, then its scan rank, which is the :func:`rank_masks` order. On
+    data where not even every feature together fixes the label, no mask
+    scores 0: the scan never settles and sums every distinct mask exactly.
+    :func:`elite_update` makes the cut over all S ranks, as
+    :func:`fedfs.bounds.miss_rate_curve` does over its table.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (dataset.m,):
-        raise ValueError("probability vector length must equal feature count")
-    # min and max propagate NaN, which fails both comparisons.
-    if not (0.0 <= p.min() and p.max() <= 1.0):
-        raise ValueError("probabilities must be finite and in [0, 1]")
+    p = validate_probs(p, dataset.m)
     checked = validate_mask(masks, dataset.m, ndim=2)
     bits = np.packbits(checked, axis=1)
     rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
     _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
-    unique = checked[first]
-    if not dataset.separable:
-        # No mask can score 0, so the scan could not stop early.
-        ranks = rank_masks(unique, evaluate_objective(dataset, unique))
-        return elite_update(p, checked, ranks[owner], params, round_index)
-    scan = rank_masks(unique, np.zeros(len(unique)))
+    scan = rank_masks(checked[first], np.zeros(len(first)))
     order = np.argsort(scan, kind="stable")
-    unique, copies, scan = unique[order], copies[order], scan[order]
+    unique, copies, scan = checked[first[order]], copies[order], scan[order]
     need = _cutoff(len(checked), params.beta) + 1
     objectives = np.round(evaluate_objective(dataset, unique, copies, need, scan), 12)
     # rank_masks's key, whose (popcount, digest) part the scan rank already orders.

@@ -271,16 +271,20 @@ def run_federation(
     The server averages the float32 values it decodes from the reply bytes it
     counts, leaving out (and listing in ``rejected``) a reply that raises
     ``ProtocolError`` or whose header names another client; a round with
-    nothing to average keeps the vector.
+    nothing to average keeps the vector. A ``max_rounds`` below 1 and a
+    ``threshold`` that :func:`select_features` refuses are refused before round 1.
     """
     if not clients:
         raise ValueError("need at least one client")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be positive")
     m = clients[0].dataset.m
     for client in clients:
         if client.dataset.m != m:
             raise ProtocolError("all client partitions must share the feature count")
 
     p_global = uniform_probs(m)
+    select_features(p_global, threshold)  # refuses a bad threshold before round 1
     v = 0.0
     rounds: list[RoundRecord] = []
     converged = False

@@ -101,18 +101,6 @@ class DiscreteDataset:
         terms.setflags(write=False)
         return terms
 
-    @cached_property
-    def separable(self) -> bool:
-        """Whether all features together fix the label: H(y | every feature) rounds to 0.0.
-
-        Grouping rows on fewer features never lowers the plug-in conditional
-        entropy, and a group holding two labels adds at least 2/n bits, far
-        above the 1e-12 rounding, so when this is False no mask's objective
-        rounds to 0.0. Computed on first use and kept.
-        """
-        full = evaluate_objective(self, np.ones((1, self.m), dtype=bool))
-        return bool(np.round(full[0], 12) == 0.0)
-
 
 @dataclass(frozen=True)
 class PackedRows:

@@ -213,6 +213,21 @@ class TestMonteCarlo:
         p0 = np.array([1 - 1e-9, 1 - 1e-9, 1e-9])
         assert miss_rate_curve(xor_noise_dataset, params, 1, 100, p0=p0)[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "p0, match",
+        [
+            ([np.nan, 0.5, 0.5], "finite and in"),
+            ([1.7, 0.5, -3.0], "finite and in"),
+            ([0.5, 0.5], "length must equal feature count"),
+        ],
+    )
+    def test_bad_p0_refused(self, xor_noise_dataset, p0, match):
+        # The criterion-6 data and params; NaN and out-of-range entries would
+        # otherwise read as a feature never or always drawn.
+        params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=404)
+        with pytest.raises(ValueError, match=match):
+            miss_rate_curve(xor_noise_dataset, params, 3, 100, p0=p0)
+
     def test_trial_floor_enforced(self, xor_noise_dataset):
         params = CEParams(sample_count=4, rng_seed=0)
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from fedfs.ce import (
     select_features,
     uniform_probs,
 )
-from fedfs.datasets import PlantedSpec, generate_planted, partition_iid
+from fedfs.datasets import PlantedSpec, generate_planted, partition_iid, preset_planted_spec
 from fedfs.info import DiscreteDataset, conditional_entropy
 
 group_starts, entropy_gaps = info._group_starts, info._entropy_gaps
@@ -419,6 +419,15 @@ class TestCeRound:
         assert evaluate_objective(planted50, mask[None])[0] <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def mav_unseparated():
+    """The first 4-client ``mav`` partition with row 1 copied from row 0 under another label."""
+    part = partition_iid(generate_planted(preset_planted_spec("mav")), 4)[0]
+    features, labels = part.features.copy(), part.labels.copy()
+    features[1], labels[1] = features[0], (labels[0] + 1) % 4
+    return DiscreteDataset(features, labels)
+
+
 def score_every_copy(dataset, p, masks, params, round_index):
     """The CE step without the copy check: every one of the S masks is scored and ranked."""
     ranks = rank_masks(masks, evaluate_objective(dataset, masks))
@@ -475,7 +484,6 @@ def traced_scan(dataset, p, masks, params, round_index):
     """What one ce_update call does, seen through spies: the rows, scan arguments and
     result of each evaluate_objective call, the masks each chunk sorts, the values of the
     masks summed, and the size of each batch passed to rank_masks and elite_update."""
-    dataset.separable  # computed before the spies, by a kernel call of its own
     calls, chunks, summed, ranked, updated = [], [], [], [], []
 
     def scoring(ds, batch, *scan):
@@ -544,14 +552,14 @@ class TestDistinctMasks:
     @settings(max_examples=150, deadline=None)
     @given(rounds_with_copies(), st.integers(1, 3))
     def test_each_distinct_mask_scored_and_ranked_once(self, case, per_chunk):
-        # On a separable dataset one evaluate_objective call scans the distinct
+        # On every dataset one evaluate_objective call scans the distinct
         # masks in (popcount, digest) order, a chunk at a time. It stops after
         # the first chunk by whose end the copies of zero-scoring masks reach
         # ceil((1-beta)*S) and whose last mask differs in key from the next.
         # Split masks are summed only if no chunk settles the round, then each
-        # once. On any other dataset one plain call sorts and sums every
-        # distinct mask. Either way one rank_masks call covers every distinct
-        # mask, and one elite_update call all S masks.
+        # once: on data that no feature set separates, every distinct mask. One
+        # rank_masks call covers every distinct mask, and one elite_update
+        # call all S masks.
         *case, collide = case
         dataset, _, masks, params, _ = case
         with digests(collide), chunked(dataset, per_chunk):
@@ -562,10 +570,6 @@ class TestDistinctMasks:
         (scanned, scan, values), = calls
         assert len(set(scanned)) == len(scanned) == len(copies)
         zero = {row: round(conditional_entropy(dataset, row), 12) == 0.0 for row in copies}
-        if not dataset.separable:
-            assert scan == () and sum(chunks) == len(copies)
-            assert sorted(summed) == nonzero_values(dataset, [row for row in scanned if not zero[row]])
-            return
 
         def key(row):
             return (sum(row), 0 if collide else mask_digest(np.array(row)))
@@ -624,7 +628,6 @@ class TestDistinctMasks:
         labels = np.repeat([0, 1], 15)
         features[:, 0] = labels if separable else 0
         dataset = DiscreteDataset(features, labels)
-        assert dataset.separable == separable
         masks = sample_masks(np.full(8, 0.4), 60, rng)
         masks[:, 0] = False
         params = CEParams(sample_count=60, beta=0.9)
@@ -633,13 +636,30 @@ class TestDistinctMasks:
         distinct = {tuple(int(b) for b in row) for row in masks}
         (scanned, scan, _), = calls
         assert len(scanned) == len(distinct) == len(set(scanned)) and set(scanned) == distinct
-        # 46 distinct masks, all sorted in chunks of 5 and each summed once: separable,
-        # by a scan that never settles; otherwise by one plain call, which takes no copies.
+        # 46 distinct masks, all sorted in chunks of 5 and each summed once, by
+        # one scan that never settles, whether or not all features fix the label.
         assert chunks == [5] * 9 + [1] and sorted(summed) == nonzero_values(dataset, list(distinct))
         assert len(summed) == 46 and np.allclose(summed, 1.0)
-        assert (len(scan) == 3) == separable
+        assert len(scan) == 3
         expected = score_every_copy(dataset, uniform_probs(8), masks, params, 1)
         assert ce_update(dataset, uniform_probs(8), masks, params, 1).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("prob", [0.5, 0.01])
+    def test_wide_rows_that_no_feature_set_separates(self, mav_unseparated, prob):
+        # 34 packed words a row, past the two that rounds_with_copies reaches.
+        # Dense masks (p = 0.5) and sparse ones (p = 0.01) both meet rows 0
+        # and 1, equal on every column, so each takes the first-word sort and
+        # then the void-record sort. Every mask scores above 0, so the scan
+        # never settles and sums each distinct mask once.
+        dataset = mav_unseparated
+        assert dataset.packed.words.shape[1] >= 3
+        p, params = np.full(dataset.m, prob), CEParams(sample_count=20, rng_seed=1)
+        masks = sample_masks(p, 20, [params.rng_seed, 1])
+        distinct = np.unique(masks, axis=0)
+        assert (np.round(evaluate_objective(dataset, distinct), 12) > 0.0).all()
+        result, _, chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
+        assert sum(chunks) == len(summed) == len(distinct)
+        assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
 
     @pytest.mark.parametrize("rows", [409, 4096])
     def test_split_masks_summed_only_when_the_round_cannot_settle(self, planted50, rows):

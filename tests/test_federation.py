@@ -494,6 +494,23 @@ class TestRunFederation:
         assert not report.converged
         assert report.total_rounds == 1
 
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"max_rounds": 0}, "max_rounds must be positive"),
+            ({"max_rounds": -5}, "max_rounds must be positive"),
+            ({"threshold": 0.3}, "threshold must be in"),
+            ({"threshold": 1.0}, "threshold must be in"),
+        ],
+    )
+    def test_bad_arguments_refused_before_round_one(self, tiny_planted, monkeypatch, knobs, match):
+        def no_round(*args):
+            raise AssertionError("a client round ran")
+
+        monkeypatch.setattr(federation, "client_round", no_round)
+        with pytest.raises(ValueError, match=match):
+            run_federation([ClientState(0, tiny_planted)], CEParams(), **knobs)
+
     def test_mismatched_feature_counts_rejected(self, tiny_planted, xor_dataset):
         with pytest.raises(ProtocolError):
             run_federation(

@@ -509,8 +509,8 @@ class TestOneWordExit:
 
 
 class TestObjectiveFloor:
-    """No objective rounds below 0.0, and none rounds to 0.0 on a dataset that is not
-    separable: the CE step stops scoring once zeros fill its cutoff."""
+    """No objective rounds below 0.0: the CE step stops scoring once masks that score
+    0.0 fill its cutoff, since no mask left can rank before them."""
 
     @staticmethod
     def check(ds, masks):
@@ -534,36 +534,6 @@ class TestObjectiveFloor:
         ds, masks = layout
         assert ds.packed.words.shape[1] > 1
         self.check(ds, masks)
-
-    @staticmethod
-    def check_separable(ds, masks):
-        # Separable exactly when rows with equal features carry one label;
-        # otherwise no mask's objective rounds to 0.0.
-        labels_of = {}
-        for row, label in zip(ds.features.tolist(), ds.labels.tolist()):
-            labels_of.setdefault(tuple(row), set()).add(label)
-        assert ds.separable == all(len(labels) == 1 for labels in labels_of.values())
-        if not ds.separable:
-            assert (np.round(evaluate_objective(ds, masks), 12) > 0.0).all()
-
-    @settings(max_examples=200, deadline=None)
-    @given(packed_layouts(), st.randoms())
-    def test_separable_on_one_and_several_word_layouts(self, layout, rnd):
-        ds, _ = layout
-        masks = [[1] * ds.m, [0] * ds.m] + [[rnd.randint(0, 1) for _ in range(ds.m)] for _ in range(6)]
-        self.check_separable(ds, np.array(masks, dtype=bool))
-
-    @settings(max_examples=150, deadline=None)
-    @given(wide_layouts())
-    def test_separable_on_wide_layouts(self, layout):
-        self.check_separable(*layout)
-
-    def test_a_row_copied_under_another_label_is_not_separable(self, planted50):
-        part = partition_iid(planted50, 10)[0]
-        features, labels = part.features.copy(), part.labels.copy()
-        features[1] = features[0]
-        labels[1] = (labels[0] + 1) % 4
-        assert part.separable and not DiscreteDataset(features, labels).separable
 
     def test_planted50_masks_holding_the_relevant_set(self, planted50):
         # Every superset of the planted set sits on the floor, H(y | U) = 0,
