@@ -130,8 +130,11 @@ def miss_rate_curve(
     blocks of at most ``_DRAW_BUDGET`` uniform draws per round, so memory
     stays flat in ``trials``; consecutive draws from one stream equal one
     draw of their total size, so the blocks do not change the curve. A given
-    ``p0`` must pass :func:`fedfs.ce.validate_probs`, as ``ce_update``'s p does.
+    ``p0`` must pass :func:`fedfs.ce.validate_probs`, as ``ce_update``'s p does,
+    and ``t_max`` must be at least 1.
     """
+    if t_max < 1:
+        raise ValueError("t_max must be positive")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful rate")
     candidates = candidate_masks(dataset.m)

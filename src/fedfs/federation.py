@@ -59,6 +59,10 @@ class ClientState:
     rng_seed: int = 0
     draw_size: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.draw_size is not None and self.draw_size < 1:
+            raise ValueError("draw_size must be positive")
+
 
 @dataclass(frozen=True, eq=False)
 class UpdateMessage:
@@ -271,11 +275,16 @@ def run_federation(
     The server averages the float32 values it decodes from the reply bytes it
     counts, leaving out (and listing in ``rejected``) a reply that raises
     ``ProtocolError`` or whose header names another client; a round with
-    nothing to average keeps the vector. A ``max_rounds`` below 1 and a
-    ``threshold`` that :func:`select_features` refuses are refused before round 1.
+    nothing to average keeps the vector. A ``tau1`` outside (0, 1], a negative
+    ``tau2``, a ``max_rounds`` below 1 and a ``threshold`` that
+    :func:`select_features` refuses are refused before round 1.
     """
     if not clients:
         raise ValueError("need at least one client")
+    if not 0.0 < tau1 <= 1.0:
+        raise ValueError("tau1 must be in (0, 1]")
+    if not tau2 >= 0.0:
+        raise ValueError("tau2 must be non-negative")
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
     m = clients[0].dataset.m

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedfs.datasets import PlantedSpec, generate_planted
+from fedfs.datasets import PlantedSpec, generate_planted, partition_iid, preset_planted_spec
 from fedfs.info import DiscreteDataset
 
 
@@ -39,6 +39,12 @@ PLANTED50 = PlantedSpec(
 @pytest.fixture(scope="session")
 def planted50() -> DiscreteDataset:
     return generate_planted(PLANTED50)
+
+
+@pytest.fixture(scope="session")
+def mav_partitions() -> list[DiscreteDataset]:
+    """The ``mav`` preset (2911 x 2166, 34 packed words a row) split over 4 clients."""
+    return partition_iid(generate_planted(preset_planted_spec("mav")), 4)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -233,6 +233,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             miss_rate_curve(xor_noise_dataset, params, 1, 99)[0]
 
+    @pytest.mark.parametrize("t_max", [0, -5])
+    def test_horizon_below_one_refused(self, xor_noise_dataset, t_max):
+        # An empty curve would read as a sweep that passed every horizon.
+        params = CEParams(sample_count=4, rng_seed=0)
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            miss_rate_curve(xor_noise_dataset, params, t_max, 100)
+
     def test_curve_non_increasing(self, xor_noise_dataset):
         params = CEParams(sample_count=4, alpha_mode="schedule", rng_seed=3)
         curve = miss_rate_curve(xor_noise_dataset, params, 4, 200)

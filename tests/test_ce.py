@@ -26,7 +26,7 @@ from fedfs.ce import (
     select_features,
     uniform_probs,
 )
-from fedfs.datasets import PlantedSpec, generate_planted, partition_iid, preset_planted_spec
+from fedfs.datasets import PlantedSpec, generate_planted, partition_iid
 from fedfs.info import DiscreteDataset, conditional_entropy
 
 group_starts, entropy_gaps = info._group_starts, info._entropy_gaps
@@ -419,13 +419,17 @@ class TestCeRound:
         assert evaluate_objective(planted50, mask[None])[0] <= 1e-12
 
 
-@pytest.fixture(scope="module")
-def mav_unseparated():
-    """The first 4-client ``mav`` partition with row 1 copied from row 0 under another label."""
-    part = partition_iid(generate_planted(preset_planted_spec("mav")), 4)[0]
+def relabel_row_one(part):
+    """``part`` with row 1 copied from row 0 under another label: no feature set separates it."""
     features, labels = part.features.copy(), part.labels.copy()
     features[1], labels[1] = features[0], (labels[0] + 1) % 4
     return DiscreteDataset(features, labels)
+
+
+@pytest.fixture(scope="module")
+def mav_unseparated(mav_partitions):
+    """The first 4-client ``mav`` partition with row 1 relabelled."""
+    return relabel_row_one(mav_partitions[0])
 
 
 def score_every_copy(dataset, p, masks, params, round_index):
@@ -660,6 +664,24 @@ class TestDistinctMasks:
         result, _, chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
         assert sum(chunks) == len(summed) == len(distinct)
         assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
+
+    @pytest.mark.parametrize("case", ["planted50", "relabelled client"] + [f"mav {i}" for i in range(4)])
+    def test_chained_rounds_equal_scoring_every_copy(self, planted50, mav_partitions, case):
+        # Ten S = 200 rounds on all of PLANTED50, and on a 409-row client with
+        # row 1 relabelled, where every scan ends short and takes the deferred
+        # sums; one p = 0.5 round of S = 20 on each mav partition.
+        if case.startswith("mav"):
+            dataset, rounds, count = mav_partitions[int(case[-1])], 1, 20
+        elif case == "planted50":
+            dataset, rounds, count = planted50, 10, 200
+        else:
+            dataset, rounds, count = relabel_row_one(partition_iid(planted50, 10)[0]), 10, 200
+        params, p = CEParams(sample_count=count, rng_seed=1), uniform_probs(dataset.m)
+        for t in range(1, rounds + 1):
+            masks = sample_masks(p, params.sample_count, [params.rng_seed, t])
+            expected = score_every_copy(dataset, p, masks, params, t)
+            p = ce_update(dataset, p, masks, params, t)
+            assert p.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows", [409, 4096])
     def test_split_masks_summed_only_when_the_round_cannot_settle(self, planted50, rows):

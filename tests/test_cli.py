@@ -313,6 +313,21 @@ seed = 2
             b = float(bound)
             assert float(rate) <= b + 3 * math.sqrt(b * (1.0 - b) / 100)
 
+    @pytest.mark.parametrize(
+        "alpha", ["alpha_mode = schedule", "alpha_mode = fixed\nalpha = 0.7"], ids=["schedule", "fixed-0.7"]
+    )
+    def test_rates_within_three_sigma_at_100000_trials(self, tmp_path, alpha):
+        # 100 000 trials run in several blocks of miss_rate_curve; seed 404 also seeds the data.
+        config = self.CONFIG.replace("alpha_mode = schedule", alpha)
+        config = config.replace("trials = 150", "trials = 100000").replace("seed = 2", "seed = 404")
+        cfg = write_config(tmp_path, config + f"t_max = 5\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["bounds", str(cfg)]) == 0
+        rows = read_rows(tmp_path / "out" / "bounds.csv")[1:]
+        assert len(rows) == 5
+        for _, bound, rate in rows:
+            b = float(bound)
+            assert float(rate) <= b + 3 * math.sqrt(b * (1.0 - b) / 100_000)
+
     def test_negative_seed_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CONFIG + f"t_max = 1\nout_dir = {tmp_path / 'out'}\n")
         assert main(["bounds", str(cfg), "--seed", "-3"]) == 1

@@ -501,15 +501,23 @@ class TestRunFederation:
             ({"max_rounds": -5}, "max_rounds must be positive"),
             ({"threshold": 0.3}, "threshold must be in"),
             ({"threshold": 1.0}, "threshold must be in"),
+            ({"tau1": 0.0}, "tau1 must be in"),
+            ({"tau1": 2.0}, "tau1 must be in"),
+            ({"tau2": -1e-9}, "tau2 must be non-negative"),
+            ({"draw_size": 0}, "draw_size must be positive"),
+            ({"draw_size": -5}, "draw_size must be positive"),
         ],
     )
     def test_bad_arguments_refused_before_round_one(self, tiny_planted, monkeypatch, knobs, match):
+        # The ranges ExperimentConfig.validate uses; draw_size is a ClientState field.
         def no_round(*args):
             raise AssertionError("a client round ran")
 
         monkeypatch.setattr(federation, "client_round", no_round)
+        knobs = dict(knobs)
         with pytest.raises(ValueError, match=match):
-            run_federation([ClientState(0, tiny_planted)], CEParams(), **knobs)
+            client = ClientState(0, tiny_planted, draw_size=knobs.pop("draw_size", None))
+            run_federation([client], CEParams(), **knobs)
 
     def test_mismatched_feature_counts_rejected(self, tiny_planted, xor_dataset):
         with pytest.raises(ProtocolError):

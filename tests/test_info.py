@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedfs import info
-from fedfs.ce import evaluate_objective
+from fedfs.ce import evaluate_objective, sample_masks
 from fedfs.datasets import partition_iid
 from fedfs.info import (
     DiscreteDataset,
@@ -639,6 +639,15 @@ class TestSegmentedSums:
         mixed = rng.random((120, ds.m)) < rng.choice([0.02, 0.1, 0.3, 0.6], (120, 1))
         mixed[0], mixed[1] = False, True
         self.check(ds, mixed)
+
+    @pytest.mark.parametrize("prob", [0.5, 0.05, 0.01, 0.002])
+    def test_mav_partition_batches(self, mav_partitions, prob):
+        # 34 packed words a row. At p = 0.5 each of the 20 masks has no repeat on
+        # its first live word and ends there; at the sparse p each takes the
+        # sort on every live word.
+        ds = mav_partitions[0]
+        assert ds.packed.words.shape[1] == 34
+        self.check(ds, sample_masks(np.full(ds.m, prob), 20, [1, 1]).astype(bool))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
