@@ -208,9 +208,10 @@ def ce_update(
     by one :func:`evaluate_objective` call, chunk by chunk. The scan stops
     after the first chunk by whose end the copies of masks whose objective
     rounds to 0.0 reach ``need``, the elite's nearest-rank size
-    ceil((1-beta)*S), and never between masks of equal scan rank. Only then
-    are masks that score above 0 summed: if the scan settles, they read +inf,
-    as unscanned ones do.
+    ceil((1-beta)*S), or S + 1 if two distinct masks share a scan rank
+    (their digests collide, never at m <= 64), so no stop splits them. Only
+    then are masks that score above 0 summed: if the scan settles, they
+    read +inf, as unscanned ones do.
 
     No objective is below 0, so every mask that does not score 0 ranks after
     those zeros, and the nearest-rank cutoff falls on one of them: the elite
@@ -229,8 +230,10 @@ def ce_update(
     scan = rank_masks(checked[first], np.zeros(len(first)))
     order = np.argsort(scan, kind="stable")
     unique, copies, scan = checked[first[order]], copies[order], scan[order]
-    need = _cutoff(len(checked), params.beta) + 1
-    objectives = np.round(evaluate_objective(dataset, unique, copies, need, scan), 12)
+    # Dense ranks end short of len(scan) only where colliding digests tie distinct masks.
+    distinct = scan.max(initial=-1) + 1 == len(scan)
+    need = _cutoff(len(checked), params.beta) + 1 if distinct else len(checked) + 1
+    objectives = np.round(evaluate_objective(dataset, unique, copies, need), 12)
     # rank_masks's key, whose (popcount, digest) part the scan rank already orders.
     ranks = np.empty_like(scan)
     ranks[order] = np.unique(objectives, return_inverse=True)[1] * len(unique) + scan

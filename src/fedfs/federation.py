@@ -268,15 +268,18 @@ def run_federation(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> FederationReport:
-    """Drive the full server loop until KS convergence or the round budget.
+    """Drive the full server loop until a settled KS convergence or the round budget.
 
     Every round each non-faulty client runs one local round from the current
     global vector; faulty clients send nothing and rejoin in a later round.
     The server averages the float32 values it decodes from the reply bytes it
     counts, leaving out (and listing in ``rejected``) a reply that raises
     ``ProtocolError`` or whose header names another client; a round with
-    nothing to average keeps the vector. A ``tau1`` outside (0, 1], a negative
-    ``tau2``, a ``max_rounds`` below 1 and a ``threshold`` that
+    nothing to average keeps the vector. The run converges when
+    :func:`check_convergence` passes and, as the KS test is blind to which
+    coordinate holds which value, no coordinate lies strictly between
+    ``1 - threshold`` and ``threshold``. A ``tau1`` outside (0, 1], a
+    negative ``tau2``, a ``max_rounds`` below 1 and a ``threshold`` that
     :func:`select_features` refuses are refused before round 1.
     """
     if not clients:
@@ -332,7 +335,8 @@ def run_federation(
                 rejected=rejected,
             )
         )
-        if check_convergence(v, v_old, tau1, tau2):
+        in_transit = ((1.0 - threshold < p_global) & (p_global < threshold)).any()
+        if check_convergence(v, v_old, tau1, tau2) and not in_transit:
             converged = True
             break
 

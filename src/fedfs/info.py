@@ -256,11 +256,9 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
     flags, and one ``np.add.reduceat`` at the sentinels, whose terms are 0.0,
     sums every block: a segment led by 0.0 gives the bits of ``np.add.reduce``
     over the rest, so a mask scores the same alone or in any chunk. A mask
-    whose two flag rows agree sums to 0.0; the kernel passes only the others.
+    whose two flag rows agree sums to exactly 0.0. The batch must not be empty.
     """
     count, n = starts.shape[1:]
-    if not count:
-        return np.zeros(0)
     flags = np.ones(2 * count * (n + 1) + 1, dtype=bool)
     flags[:-1].reshape(2, count, n + 1)[:, :, 1:] = starts
     at = np.flatnonzero(flags)
@@ -277,11 +275,7 @@ def _entropy_gaps(starts: np.ndarray, terms_of: np.ndarray) -> np.ndarray:
 
 
 def evaluate_objective(
-    dataset: DiscreteDataset,
-    masks: np.ndarray,
-    copies: np.ndarray | None = None,
-    need: int = 0,
-    scan: np.ndarray | None = None,
+    dataset: DiscreteDataset, masks: np.ndarray, copies: np.ndarray | None = None, need: int = 0
 ) -> np.ndarray:
     """:func:`conditional_entropy` of each row of an (S, m) batch of masks, unchecked.
 
@@ -292,10 +286,10 @@ def evaluate_objective(
     on several as big-endian byte strings, whose order is the lexicographic
     order of the (masked columns, label) tuples. Adjacent sorted rows that
     differ in a kept bit begin a (U, y) group, and in a column bit a U group,
-    in the order ``np.unique`` gives the tuples. A mask whose two groupings
-    agree scores 0.0; the others' terms are summed as one ``np.add.reduce``
-    per grouping, with no Python loop per mask, so the values are the bits of
-    grouping on the tuples directly.
+    in the order ``np.unique`` gives the tuples. Each grouping's terms are
+    summed as one ``np.add.reduce`` per mask, with no Python loop per mask,
+    so the values are the bits of grouping on the tuples directly; a mask
+    whose two groupings agree scores exactly 0.0.
 
     Rows that span several words are first sorted on the first word any
     mask of the chunk keeps, masked to each mask's bits there. A mask whose
@@ -306,10 +300,9 @@ def evaluate_objective(
     whichever is larger, one (chunk, n) sort per chunk, so the temporaries
     do not grow with S.
 
-    With ``copies`` (each mask's count in its batch), ``need`` and ``scan``
-    (ascending ranks), the batch is an elite scan. The loop stops after the
-    first chunk by whose end the copies of masks scoring 0.0 reach ``need``,
-    never between two masks of equal ``scan`` rank; every other mask, unscanned
+    With ``copies`` (each mask's count in its batch) and ``need``, the batch
+    is an elite scan. The loop stops after the first chunk by whose end the
+    copies of masks scoring 0.0 reach ``need``; every other mask, unscanned
     or split, then reads +inf. The sums of split masks wait, their flags
     packed eight rows to a byte, and run only if the scan ends short of
     ``need``: the values are then exact, as without ``copies``.
@@ -323,18 +316,17 @@ def evaluate_objective(
     zeros = 0
     for i in range(0, count, chunk):
         starts = _group_starts(packed, masks[i : i + chunk])
-        split = (starts[0] != starts[1]).any(axis=1)
-        at = i + np.flatnonzero(split)
         if copies is None:
-            if at.size:
-                values[at] = _entropy_gaps(starts[:, split], terms_of)
+            values[i : i + chunk] = _entropy_gaps(starts, terms_of)
             continue
-        values[at] = np.inf
-        deferred.append((at, np.packbits(starts[:, split], axis=2)))
+        split = (starts[0] != starts[1]).any(axis=1)
+        if split.any():
+            at = i + np.flatnonzero(split)
+            values[at] = np.inf
+            deferred.append((at, np.packbits(starts[:, split], axis=2)))
         zeros += int(copies[i : i + chunk][~split].sum())
-        end = i + chunk
-        if zeros >= need and (end >= count or scan[end] != scan[end - 1]):
-            values[end:] = np.inf
+        if zeros >= need:
+            values[i + chunk :] = np.inf
             return values
     for at, flags in deferred:
         values[at] = _entropy_gaps(np.unpackbits(flags, axis=2, count=n).view(bool), terms_of)

@@ -133,6 +133,21 @@ class TestCentralizedBound:
         with pytest.raises(ValueError, match="alpha_seq"):
             BoundInputs(3, 4, (1, 1, 0), alpha_seq=())
 
+    @pytest.mark.parametrize(
+        "args, kwargs, match",
+        [
+            ((-1, 4, (1, 0)), {}, "t_prime must be non-negative"),
+            ((2, 0, (1, 0)), {}, "sample_count must be positive"),
+            ((2, 4, (1, 2)), {}, "optimal_mask must be a non-empty binary tuple"),
+            ((2, 4, ()), {}, "optimal_mask must be a non-empty binary tuple"),
+            ((2, 4, (1, 0)), {"p0": 0.0}, r"p0 must be in \(0, 1\)"),
+            ((2, 4, (1, 0)), {"p0": 1.0}, r"p0 must be in \(0, 1\)"),
+        ],
+    )
+    def test_bad_terms_refused(self, args, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            BoundInputs(*args, **kwargs)
+
     def test_strictly_decreasing_in_horizon(self):
         values = [
             centralized_miss_bound(

@@ -407,6 +407,7 @@ class TestCeRound:
             np.array([[1, 0, 2], [0, 1, 1]]),
             np.ones((2, 2), dtype=np.uint8),
             np.ones(3, dtype=np.uint8),
+            np.zeros((0, 3), dtype=np.uint8),
         ],
     )
     def test_update_checks_the_mask_batch(self, xor_noise_dataset, masks):
@@ -485,7 +486,7 @@ def digests(collide):
 
 
 def traced_scan(dataset, p, masks, params, round_index):
-    """What one ce_update call does, seen through spies: the rows, scan arguments and
+    """What one ce_update call does, seen through spies: the rows, (copies, need) and
     result of each evaluate_objective call, the masks each chunk sorts, the values of the
     masks summed, and the size of each batch passed to rank_masks and elite_update."""
     calls, chunks, summed, ranked, updated = [], [], [], [], []
@@ -559,11 +560,11 @@ class TestDistinctMasks:
         # On every dataset one evaluate_objective call scans the distinct
         # masks in (popcount, digest) order, a chunk at a time. It stops after
         # the first chunk by whose end the copies of zero-scoring masks reach
-        # ceil((1-beta)*S) and whose last mask differs in key from the next.
-        # Split masks are summed only if no chunk settles the round, then each
-        # once: on data that no feature set separates, every distinct mask. One
-        # rank_masks call covers every distinct mask, and one elite_update
-        # call all S masks.
+        # ceil((1-beta)*S), or S + 1 if two distinct masks share a key: a
+        # collision round never settles. Split masks are summed only if no
+        # chunk settles the round, then each once: on data that no feature set
+        # separates, every distinct mask. One rank_masks call covers every
+        # distinct mask, and one elite_update call all S masks.
         *case, collide = case
         dataset, _, masks, params, _ = case
         with digests(collide), chunked(dataset, per_chunk):
@@ -579,14 +580,14 @@ class TestDistinctMasks:
             return (sum(row), 0 if collide else mask_digest(np.array(row)))
 
         need = min(max(math.ceil((1.0 - params.beta) * len(masks)), 1), len(masks))
+        if len({key(row) for row in copies}) < len(copies):
+            need = len(masks) + 1
         assert [key(row) for row in scanned] == sorted(key(row) for row in copies)
-        assert scan[0].tolist() == [copies[row] for row in scanned] and scan[1] == need
+        assert len(scan) == 2 and scan[0].tolist() == [copies[row] for row in scanned] and scan[1] == need
         zeros = end = 0
-        while end < len(scanned):
+        while end < len(scanned) and zeros < need:
             zeros += sum(copies[row] for row in scanned[end : end + per_chunk] if zero[row])
             end = min(end + per_chunk, len(scanned))
-            if zeros >= need and (end == len(scanned) or key(scanned[end - 1]) != key(scanned[end])):
-                break
         assert sum(chunks) == end
         settled = zeros >= need
         assert sorted(summed) == ([] if settled else nonzero_values(dataset, [row for row in scanned if not zero[row]]))
@@ -644,7 +645,7 @@ class TestDistinctMasks:
         # one scan that never settles, whether or not all features fix the label.
         assert chunks == [5] * 9 + [1] and sorted(summed) == nonzero_values(dataset, list(distinct))
         assert len(summed) == 46 and np.allclose(summed, 1.0)
-        assert len(scan) == 3
+        assert len(scan) == 2 and scan[1] == 6
         expected = score_every_copy(dataset, uniform_probs(8), masks, params, 1)
         assert ce_update(dataset, uniform_probs(8), masks, params, 1).tolist() == expected.tolist()
 
@@ -706,6 +707,56 @@ class TestDistinctMasks:
             else:
                 assert (values > 0.0).all() and sum(chunks) == len(distinct)
                 assert sorted(summed) == sorted(values.tolist())
+
+    def test_colliding_digests_sum_every_distinct_mask_once(self, planted50, monkeypatch):
+        # On a 409-row client with the planted columns at p = 0.85, the round
+        # settles at beta = 0.9 with split masks unsummed. Under a constant
+        # digest, distinct masks of equal popcount share a scan rank, so the
+        # scan never settles: it sorts every distinct mask once and sums each
+        # split one once, and the result is scoring every copy's.
+        dataset = partition_iid(planted50, 10)[0]
+        params, p = CEParams(sample_count=200, beta=0.9), np.full(dataset.m, 0.2)
+        p[:10] = 0.85
+        masks = sample_masks(p, 200, [409, 1])
+        values = evaluate_objective(dataset, np.unique(masks, axis=0))
+        _, _, chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
+        assert summed == [] and sum(chunks) < len(values)
+        monkeypatch.setattr(ce, "digest_masks", constant_digest)
+        result, ((_, (_, need), _),), chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
+        assert need == 201 and sum(chunks) == len(values)
+        assert sorted(summed) == sorted(values[values > 0.0].tolist())
+        assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
+
+    def test_unsettled_scan_sums_only_chunks_with_split_masks(self, planted50):
+        # At beta = 0.01 the elite needs 198 of the 200 copies to score 0, but
+        # only 191 do: the scan never settles. At two masks a chunk, many chunks
+        # hold zero-scoring masks alone; none of them reaches _entropy_gaps.
+        dataset = partition_iid(planted50, 10)[0]
+        params, p = CEParams(sample_count=200, beta=0.01), np.full(dataset.m, 0.2)
+        p[:10] = 0.85
+        masks = sample_masks(p, 200, [409, 1])
+        values = evaluate_objective(dataset, np.unique(masks, axis=0))
+        splits, batches = [], []
+
+        def sorting(packed, batch):
+            starts = group_starts(packed, batch)
+            splits.append(int((starts[0] != starts[1]).any(axis=1).sum()))
+            return starts
+
+        def summing(starts, terms_of):
+            batches.append(entropy_gaps(starts, terms_of))
+            return batches[-1]
+
+        with (
+            chunked(dataset, 2),
+            mock.patch.object(info, "_group_starts", sorting),
+            mock.patch.object(info, "_entropy_gaps", summing),
+        ):
+            result = ce_update(dataset, p, masks, params, 1)
+        assert (values == 0.0).sum() == 191 and len(splits) == 100 and splits.count(0) > 0
+        assert [len(batch) for batch in batches] == [split for split in splits if split]
+        assert sorted(np.concatenate(batches).tolist()) == sorted(values[values > 0.0].tolist())
+        assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
 
     def test_peak_memory_of_an_unsettled_scan(self, planted50):
         # 1000 distinct masks of two or three noise columns on 4096 rows: none

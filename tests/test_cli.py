@@ -87,6 +87,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bogus_key"):
             parse_config(path)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = write_config(tmp_path, "seed = 3\nclients 4\n")
+        with pytest.raises(ConfigError, match=r":2: expected key = value$"):
+            parse_config(path)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = write_config(tmp_path, "# comment\n\nseed = 3  # trailing\n")
         assert parse_config(path).seed == 3
@@ -123,7 +128,7 @@ class TestConfigParsing:
         [
             "alpha = 0", "alpha_mode = linear", "clamp_eps = 0.5", "sample_count = 1",
             "rho = 1.0", "seed = -3", "record_bytes = -1", "draw_size = 0",
-            "seed = 4294967296",
+            "seed = 4294967296", "dataset = csv",
         ],
     )
     def test_out_of_range_value_names_field(self, tmp_path, line):
@@ -139,6 +144,7 @@ class TestConfigParsing:
             "planted_relevant = 0,1\nplanted_redundant = 2:5",
             "planted_modulus = 1",
             "planted_n = 10",
+            "dataset = preset\npreset = other",
         ],
     )
     def test_planted_keys_checked_at_parse(self, tmp_path, lines):

@@ -53,6 +53,18 @@ class TestPlantedSpec:
         with pytest.raises(ValueError):
             PlantedSpec(m=2, n=8, relevant=(0, 5))
 
+    @pytest.mark.parametrize(
+        "m, n, relevant, match",
+        [
+            (0, 8, (0,), "m and n must be positive"),
+            (4, 0, (0,), "m and n must be positive"),
+            (4, 8, (), "at least one relevant feature"),
+        ],
+    )
+    def test_empty_shapes_refused(self, m, n, relevant, match):
+        with pytest.raises(ValueError, match=match):
+            PlantedSpec(m=m, n=n, relevant=relevant, label_rule="sum_mod_k")
+
 
 class TestGeneratePlanted:
     def test_relevant_mask_resolves_labels(self):
@@ -162,6 +174,11 @@ class TestPartitionIid:
         with pytest.raises(ValueError):
             partition_iid(xor_dataset, 5)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_partition_count_below_one_rejected(self, xor_dataset, count):
+        with pytest.raises(ValueError, match="partition count must be positive"):
+            partition_iid(xor_dataset, count)
+
 
 class TestCsvIo:
     def test_round_trip_xor(self, xor_dataset, tmp_path):
@@ -186,6 +203,13 @@ class TestCsvIo:
         loaded = load_csv(path, bins=2)
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
+
+    def test_empty_file_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: empty file"
 
     def test_non_numeric_cell_located(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -316,6 +340,8 @@ CSV_PARITY = {
     "crlf": ("1,2,0\r\n3,4,1\r\n", ([[0, 0], [3, 3]], [0, 1])),
     "trailing comma": ("1,2,0,\n", "row 0 has 4 cells, expected 3"),
     "underscore digits": ("1_0,2,0\n3,4,1\n", "non-numeric cell at row 0, column 0"),
+    # The bad cell's quotes are doubled when it is read back as one quoted field.
+    "quoted bad cell": ('1,2,0\n3,"x""y",1\n', "non-numeric cell at row 1, column 1"),
 }
 
 

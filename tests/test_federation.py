@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedfs.federation as federation
+from fedfs import cli
 from fedfs.ce import DEFAULT_CLAMP, CEParams, ce_round, clamp_probs, uniform_probs
+from fedfs.config import ExperimentConfig
 from fedfs.datasets import PlantedSpec, generate_planted, partition_iid
 from fedfs.federation import (
     ClientState,
@@ -359,14 +361,41 @@ class TestRunFederation:
     def test_stationary_vector_terminates_in_two_rounds(self, tiny_planted, monkeypatch):
         # A client whose reply never moves leaves the global vector at a fixed
         # point; the KS test of identical vectors is 1 on consecutive rounds.
+        # At the all-0.5 start every coordinate is in transit, so the run
+        # never stops; from a settled start (float32-exact values outside
+        # (0.01, 0.99)) it stops at round 2.
         def stub(client, p_global, params, round_index):
             return encode_message(client.client_id, p_global, client.dataset.n)
 
         monkeypatch.setattr(federation, "client_round", stub)
+        report = run_federation([ClientState(0, tiny_planted)], CEParams(sample_count=10), max_rounds=5)
+        assert not report.converged and report.total_rounds == 5
+        assert report.rounds[-1].p_value == 1.0
+        settled = np.array([1 - 2**-7, 2**-7, 1 - 2**-7, 2**-7])
+        monkeypatch.setattr(federation, "uniform_probs", lambda m: settled.copy())
         report = run_federation([ClientState(0, tiny_planted)], CEParams(sample_count=10))
         assert report.converged
         assert report.total_rounds <= 2
         assert report.rounds[-1].p_value == 1.0
+        assert np.array_equal(report.final_p, settled) and report.selected == [0, 2]
+
+    def test_ks_pass_with_coordinates_in_transit_does_not_stop(self):
+        # The mav preset over 4 clients at the default knobs and seed 1, seeded
+        # as the CLI seeds it. In round 71 the KS rule passes while 82
+        # coordinates lie in (0.01, 0.99); the run goes on, and after 80
+        # rounds 53 are still in transit, so it ends unconverged.
+        config = ExperimentConfig(dataset="preset", preset="mav", clients=4, seed=1, max_rounds=80)
+        dataset = cli._build_dataset(config)
+        fault = FaultModel(config.rho, derive_seed(config.seed, cli._DOMAIN_FAULT))
+        report = run_federation(cli._build_clients(dataset, config), config.ce_params(), fault, max_rounds=80)
+
+        def in_transit(p):
+            return int(((0.01 < p) & (p < 0.99)).sum())
+
+        assert check_convergence(report.rounds[70].p_value, report.rounds[69].p_value)
+        assert in_transit(report.rounds[70].p_global) == 82
+        assert not report.converged and report.total_rounds == 80
+        assert in_transit(report.final_p) == 53
 
     def test_tiny_planted_drives_probabilities_toward_signal(self, tiny_planted):
         clients = [ClientState(0, tiny_planted, rng_seed=1)]
@@ -478,10 +507,11 @@ class TestRunFederation:
             fault=AllFaulty(),
             max_rounds=3,
         )
-        # No messages: vector unchanged every round, KS of identical vectors
-        # is 1, so the loop stops at round 2 with zero traffic.
-        assert report.total_rounds == 2
-        assert report.converged
+        # No messages: vector unchanged every round and KS of identical
+        # vectors is 1, but every coordinate stays at 0.5, in transit, so the
+        # loop runs all 3 rounds with zero traffic and does not converge.
+        assert report.total_rounds == 3
+        assert not report.converged
         assert report.total_bytes == 0
         assert np.array_equal(report.final_p, uniform_probs(4))
 
@@ -506,6 +536,7 @@ class TestRunFederation:
             ({"tau2": -1e-9}, "tau2 must be non-negative"),
             ({"draw_size": 0}, "draw_size must be positive"),
             ({"draw_size": -5}, "draw_size must be positive"),
+            ({"clients": []}, "need at least one client"),
         ],
     )
     def test_bad_arguments_refused_before_round_one(self, tiny_planted, monkeypatch, knobs, match):
@@ -517,7 +548,7 @@ class TestRunFederation:
         knobs = dict(knobs)
         with pytest.raises(ValueError, match=match):
             client = ClientState(0, tiny_planted, draw_size=knobs.pop("draw_size", None))
-            run_federation([client], CEParams(), **knobs)
+            run_federation(knobs.pop("clients", [client]), CEParams(), **knobs)
 
     def test_mismatched_feature_counts_rejected(self, tiny_planted, xor_dataset):
         with pytest.raises(ProtocolError):
@@ -643,11 +674,11 @@ class TestWirePath:
     def test_all_rejected_round_carries_vector_over(self, two_clients, monkeypatch):
         sent = self.spy_replies(monkeypatch, lambda cid, raw: truncated(raw))
         report = run_federation(two_clients, CEParams(sample_count=20), max_rounds=3)
-        # As in an all-faulty round the vector stays put, so the KS rule
-        # stops the run at round 2; the rejected bytes still count.
-        assert report.total_rounds == 2
-        assert report.converged
-        assert [r.rejected for r in report.rounds] == [[0, 1], [0, 1]]
+        # As in an all-faulty round the vector stays put at 0.5, in transit,
+        # so the KS rule alone cannot stop the run; the rejected bytes still count.
+        assert report.total_rounds == 3
+        assert not report.converged
+        assert [r.rejected for r in report.rounds] == [[0, 1]] * 3
         assert np.array_equal(report.final_p, uniform_probs(4))
         assert report.total_bytes == sum(len(raw) for raws in sent.values() for raw in raws) > 0
 

@@ -75,6 +75,11 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="column 1"):
             discretize(bad, 2)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_not_a_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="input matrix must be 2-D"):
+            discretize(np.zeros(shape), 2)
+
     def test_too_few_bins_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             discretize(np.array([[5.0], [5.0]]), 0)
@@ -706,6 +711,19 @@ class TestDatasetValidation:
             DiscreteDataset(codes, [0])
         with pytest.raises(ValueError, match="^label values must be numbers$"):
             DiscreteDataset([[0]], codes[0])
+
+    @pytest.mark.parametrize(
+        "labels, names, match",
+        [
+            ([[0], [1]], (), "labels must be a vector with one entry per row"),
+            ([0], (), "labels must be a vector with one entry per row"),
+            ([0, 1], ("a",), "feature_names length must equal feature count"),
+            ([0, 1], ("a", "b", "c"), "feature_names length must equal feature count"),
+        ],
+    )
+    def test_rejects_mismatched_labels_or_names(self, labels, names, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteDataset(np.array([[0, 1], [1, 0]]), np.array(labels), names)
 
     def test_bool_codes_stored_as_uint8(self):
         ds = DiscreteDataset(np.array([[True, False]]), np.array([True]))

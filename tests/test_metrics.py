@@ -33,6 +33,11 @@ class TestCompressionRatio:
         with pytest.raises(ValueError):
             SelectionSummary(frozenset({8}), 8)
 
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_total_below_one_rejected(self, total):
+        with pytest.raises(ValueError, match="total feature count must be at least 1"):
+            SelectionSummary(frozenset(), total)
+
 
 class TestNetworkOverhead:
     def test_formula_floor(self):
