@@ -26,16 +26,17 @@ class BoundInputs:
     """Terms of the miss-probability bound.
 
     ``p0`` is the scalar uniform initialization; ``optimal_mask`` identifies
-    the unique optimum; ``alpha_seq`` overrides the 1/(t*m) schedule when
-    given. An alpha of 1 makes every later decay 0, so the bound stays at
-    1 - p_hit, the bound of round 1 alone.
+    the unique optimum; ``alpha``, a fixed smoothing factor in [0, 1],
+    replaces the 1/(t*m) schedule when given. An alpha of 1 makes every
+    later decay 0, so the bound stays at 1 - p_hit, the bound of round 1
+    alone.
     """
 
     t_prime: int
     sample_count: int
     optimal_mask: tuple[int, ...]
     p0: float = 0.5
-    alpha_seq: Optional[tuple[float, ...]] = None
+    alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "optimal_mask", tuple(int(b) for b in self.optimal_mask))
@@ -47,19 +48,12 @@ class BoundInputs:
             raise ValueError("optimal_mask must be a non-empty binary tuple")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must be in (0, 1)")
-        if self.alpha_seq is not None:
-            object.__setattr__(self, "alpha_seq", tuple(self.alpha_seq))
-            if not self.alpha_seq or any(not 0.0 <= a <= 1.0 for a in self.alpha_seq):
-                raise ValueError("alpha_seq must be non-empty, with entries in [0, 1]")
+        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
 
     @property
     def m(self) -> int:
         return len(self.optimal_mask)
-
-    def alpha(self, j: int) -> float:
-        if self.alpha_seq is not None:
-            return self.alpha_seq[j - 1] if j - 1 < len(self.alpha_seq) else self.alpha_seq[-1]
-        return alpha_schedule(j, self.m)
 
     def first_draw_hit_probability(self) -> float:
         """Probability that a single initial draw equals the optimal mask."""
@@ -76,7 +70,8 @@ def centralized_miss_bound(inputs: BoundInputs) -> float:
     # prod_{j=1}^{tau-1} (1 - alpha_j)**m, one factor more each round.
     decay = 1.0
     for tau in range(2, inputs.t_prime + 1):
-        decay *= (1.0 - inputs.alpha(tau - 1)) ** inputs.m
+        alpha = alpha_schedule(tau - 1, inputs.m) if inputs.alpha is None else inputs.alpha
+        decay *= (1.0 - alpha) ** inputs.m
         bound *= (1.0 - p_hit * decay) ** inputs.sample_count
     return min(max(bound, 0.0), 1.0)
 

@@ -7,12 +7,13 @@ and pulls the probability vector toward the elite selection frequencies with
 smoothing factor alpha.
 
 Masks are ranked best by objective, then by fewest features, then by a fixed
-digest of the mask bits. The plug-in objective is 0 for most masks on small
-partitions, so without the last two keys nearly every mask would tie into the
-elite and the update would lose its selection pressure; with them only
-identical masks tie, and every client breaks ties between equally small,
-equally informative subsets the same way. The digest mixes every bit, so the
-tie-break favours no feature position.
+digest of the mask bits, then by the packed bits themselves. The plug-in
+objective is 0 for most masks on small partitions, so without the last keys
+nearly every mask would tie into the elite and the update would lose its
+selection pressure; with them only identical masks tie, distinct masks never
+do, and every client breaks ties between equally small, equally informative
+subsets the same way. The digest mixes every bit, so the tie-break favours
+no feature position.
 
 The ordering lives in :func:`rank_masks` alone and the cut in
 :func:`elite_update` alone, which takes any number of batches at once and
@@ -136,21 +137,25 @@ def digest_masks(masks: np.ndarray) -> np.ndarray:
 def rank_masks(masks: np.ndarray, objectives: Sequence[float]) -> np.ndarray:
     """Dense ranks of the (S, m) masks, 0 for the best, on the elite ordering key.
 
-    The key is (objective rounded to 1e-12, popcount, :func:`digest_masks`)
-    ascending, ordered by one ``np.lexsort``. Identical masks share a rank;
-    distinct masks differ in it unless their digests collide. No key depends
-    on the rest of the batch, so masks keep their order in any batch. Masks
-    of any dtype are read as bool.
+    The key is (objective rounded to 1e-12, popcount, :func:`digest_masks`,
+    packed bits) ascending, ordered by one ``np.lexsort``. The packed bits,
+    compared as byte strings, order only masks whose digests collide (never
+    at m <= 64), so identical masks share a rank and distinct masks never
+    do. No key depends on the rest of the batch, so masks keep their order
+    in any batch. Masks of any dtype are read as bool.
     """
     masks = np.asarray(masks, dtype=bool)
-    objectives = np.asarray(objectives, dtype=np.float64)
+    objectives = np.round(np.asarray(objectives, dtype=np.float64), 12)
     if objectives.shape != masks.shape[:1]:
         raise ValueError("objectives must hold one value per mask")
-    keys = (np.round(objectives, 12), masks.sum(axis=1, dtype=np.int32), digest_masks(masks))
-    order = np.lexsort(keys[::-1])
+    bits = np.packbits(masks, axis=1)
+    # One byte string per row; rows of no bits are all equal and view as none.
+    rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel() if bits.shape[1] else np.zeros(len(bits))
+    order = np.lexsort((rows, digest_masks(masks), masks.sum(axis=1, dtype=np.int32), objectives))
+    # Popcount and digest follow from the bits, so the objective and the bits mark every key change.
+    objectives, bits = objectives[order], bits[order]
     changes = np.zeros(len(order), dtype=bool)
-    for ordered in (key[order] for key in keys):
-        changes[1:] |= ordered[1:] != ordered[:-1]
+    changes[1:] = (objectives[1:] != objectives[:-1]) | (bits[1:] != bits[:-1]).any(axis=1)
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.cumsum(changes)
     return ranks
@@ -203,15 +208,15 @@ def ce_update(
     """Score already-sampled masks, as far as the elite needs, and pull p toward their elite.
 
     p must hold m finite probabilities in [0, 1]. The (S, m) batch is checked
-    once and deduplicated. The distinct masks are scanned in the order
-    :func:`rank_masks` gives them at objective 0 (by popcount, then digest)
-    by one :func:`evaluate_objective` call, chunk by chunk. The scan stops
-    after the first chunk by whose end the copies of masks whose objective
-    rounds to 0.0 reach ``need``, the elite's nearest-rank size
-    ceil((1-beta)*S), or S + 1 if two distinct masks share a scan rank
-    (their digests collide, never at m <= 64), so no stop splits them. Only
-    then are masks that score above 0 summed: if the scan settles, they
-    read +inf, as unscanned ones do.
+    and ranked once by :func:`rank_masks` at objective 0 (by popcount, digest,
+    then bits). Distinct masks never share a rank, so the ranks name one
+    representative per distinct mask, count its copies and give the scan
+    order, in which one :func:`evaluate_objective` call scans the distinct
+    masks chunk by chunk. The scan stops after the first chunk by whose end
+    the copies of masks whose objective rounds to 0.0 reach ``need``, the
+    elite's nearest-rank size ceil((1-beta)*S). Only then are masks that
+    score above 0 summed: if the scan settles, they read +inf, as unscanned
+    ones do.
 
     No objective is below 0, so every mask that does not score 0 ranks after
     those zeros, and the nearest-rank cutoff falls on one of them: the elite
@@ -224,20 +229,15 @@ def ce_update(
     """
     p = validate_probs(p, dataset.m)
     checked = validate_mask(masks, dataset.m, ndim=2)
-    bits = np.packbits(checked, axis=1)
-    rows = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    _, first, owner, copies = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
-    scan = rank_masks(checked[first], np.zeros(len(first)))
-    order = np.argsort(scan, kind="stable")
-    unique, copies, scan = checked[first[order]], copies[order], scan[order]
-    # Dense ranks end short of len(scan) only where colliding digests tie distinct masks.
-    distinct = scan.max(initial=-1) + 1 == len(scan)
-    need = _cutoff(len(checked), params.beta) + 1 if distinct else len(checked) + 1
+    scan = rank_masks(checked, np.zeros(len(checked)))
+    copies = np.bincount(scan)
+    unique = np.empty((len(copies), dataset.m), dtype=bool)
+    unique[scan] = checked
+    need = _cutoff(len(checked), params.beta) + 1
     objectives = np.round(evaluate_objective(dataset, unique, copies, need), 12)
-    # rank_masks's key, whose (popcount, digest) part the scan rank already orders.
-    ranks = np.empty_like(scan)
-    ranks[order] = np.unique(objectives, return_inverse=True)[1] * len(unique) + scan
-    return elite_update(p, checked, ranks[owner], params, round_index)
+    # rank_masks's key, whose (popcount, digest, bits) part the scan rank already orders.
+    ranks = np.unique(objectives, return_inverse=True)[1] * len(unique) + np.arange(len(unique))
+    return elite_update(p, checked, ranks[scan], params, round_index)
 
 
 def ce_round(

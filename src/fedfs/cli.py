@@ -134,7 +134,7 @@ def run_bounds(config: ExperimentConfig) -> int:
     params = config.ce_params()
     optimum = bounds_mod.find_optimal_mask(dataset)
     rates = bounds_mod.miss_rate_curve(dataset, params, config.t_max, config.trials)
-    alpha_seq = None if config.alpha_mode == "schedule" else tuple([config.alpha] * config.t_max)
+    alpha = None if config.alpha_mode == "schedule" else config.alpha
     rows = []
     for t in range(1, config.t_max + 1):
         bound = bounds_mod.centralized_miss_bound(
@@ -142,7 +142,7 @@ def run_bounds(config: ExperimentConfig) -> int:
                 t_prime=t,
                 sample_count=config.sample_count,
                 optimal_mask=tuple(int(b) for b in optimum),
-                alpha_seq=alpha_seq,
+                alpha=alpha,
             )
         )
         rows.append([t, repr(float(bound)), repr(float(rates[t - 1]))])

@@ -115,11 +115,10 @@ def _parse_index_list(value: str) -> tuple[int, ...]:
 
 
 def _parse_index_map(value: str) -> dict[int, int]:
-    mapping: dict[int, int] = {}
-    for part in value.split(","):
-        if part.strip():
-            dup, src = part.split(":")
-            mapping[int(dup)] = int(src)
+    pairs = [[int(i) for i in part.split(":")] for part in value.split(",") if part.strip()]
+    mapping = dict(pairs)  # refuses a part that is not one dup:src pair
+    if len(mapping) < len(pairs):
+        raise ValueError("a copy index is given twice")
     return mapping
 
 

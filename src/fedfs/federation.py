@@ -278,12 +278,16 @@ def run_federation(
     nothing to average keeps the vector. The run converges when
     :func:`check_convergence` passes and, as the KS test is blind to which
     coordinate holds which value, no coordinate lies strictly between
-    ``1 - threshold`` and ``threshold``. A ``tau1`` outside (0, 1], a
-    negative ``tau2``, a ``max_rounds`` below 1 and a ``threshold`` that
-    :func:`select_features` refuses are refused before round 1.
+    ``1 - threshold`` and ``threshold``. Clients sharing an id, a ``tau1``
+    outside (0, 1], a negative ``tau2``, a ``max_rounds`` below 1 and a
+    ``threshold`` that :func:`select_features` refuses are refused before
+    round 1.
     """
     if not clients:
         raise ValueError("need at least one client")
+    # The sender check and the per-client records key on the id.
+    if len({c.client_id for c in clients}) < len(clients):
+        raise ValueError("client ids must be distinct")
     if not 0.0 < tau1 <= 1.0:
         raise ValueError("tau1 must be in (0, 1]")
     if not tau2 >= 0.0:

@@ -237,12 +237,18 @@ class TestStackedEliteUpdate:
         assert stacked.tobytes() == np.stack(rows).tobytes()
 
 
+def packed_bits(mask):
+    # The bits packed eight to a byte, first feature in the high bit, the last byte zero-padded.
+    bits = [int(b) for b in mask] + [0] * (-len(mask) % 8)
+    return bytes(int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8))
+
+
 def mask_digest(mask):
-    # The digest in Python ints: the bits packed eight to a byte, first feature
-    # in the high bit, read as zero-padded little-endian 64-bit words, weighted
-    # by odd per-word keys and summed mod 2**64, then splitmix64's finalizer.
-    bits = [int(b) for b in mask] + [0] * (-len(mask) % 64)
-    packed = bytes(int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8))
+    # The digest in Python ints: the packed bits read as zero-padded
+    # little-endian 64-bit words, weighted by odd per-word keys and summed
+    # mod 2**64, then splitmix64's finalizer.
+    packed = packed_bits(mask)
+    packed += bytes(-len(packed) % 8)
     words = [int.from_bytes(packed[i : i + 8], "little") for i in range(0, len(packed), 8)]
     z = sum(w * ((i + 1) * 0x9E3779B97F4A7C15 % 2**64 | 1) for i, w in enumerate(words)) % 2**64
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
@@ -251,8 +257,8 @@ def mask_digest(mask):
 
 
 def elite_key(mask, objective):
-    # Best objective, then fewest features, then the mask digest.
-    return (round(objective, 12), int(mask.sum()), mask_digest(mask))
+    # Best objective, then fewest features, then the mask digest, then the packed bits.
+    return (round(objective, 12), int(mask.sum()), mask_digest(mask), packed_bits(mask))
 
 
 def hand_rolled_elite(masks, objectives, beta, key):
@@ -293,6 +299,9 @@ class TestRankMasks:
         with pytest.raises(ValueError, match="one value per mask"):
             rank_masks(np.eye(3), [0.0, 1.0])
 
+    def test_masks_of_no_features_rank_by_objective(self):
+        assert rank_masks(np.zeros((3, 0)), [0.5, 0.0, 0.5]).tolist() == [1, 0, 1]
+
     def test_float_and_integer_masks_rank_as_bool(self):
         expected = rank_masks(np.eye(3, dtype=bool), [0.0, 0.0, 0.0]).tolist()
         assert rank_masks(np.eye(3), [0.0, 0.0, 0.0]).tolist() == expected
@@ -318,6 +327,29 @@ class TestRankMasks:
         assert [ce.digest_masks(mask[None])[0] for mask in masks] == digests.tolist()
         keys = [elite_key(mask, o) for mask, o in zip(masks, objectives.tolist())]
         assert rank_masks(masks, objectives).tolist() == [sorted(set(keys)).index(k) for k in keys]
+
+    @pytest.mark.parametrize("collide", [False, True], ids=["digest", "constant digest"])
+    @pytest.mark.parametrize("m", [3, 50, 70, 2166])
+    def test_distinct_masks_never_share_a_rank(self, m, collide):
+        # Copies and near-equal objectives tie; any other two masks differ in
+        # rank, in the order of (objective, popcount, digest) wherever those
+        # differ, and of the packed bits where they do not: under a constant
+        # digest, every pair of distinct masks of equal popcount.
+        rng = np.random.default_rng(m)
+        pool = sample_masks(np.full(m, min(0.5, 3.0 / m)), 30, rng)
+        masks = pool[rng.integers(0, len(pool), size=60)]
+        objectives = rng.choice([0.0, 1e-14, 0.5], size=60)
+        with digests(collide):
+            ranks = rank_masks(masks, objectives)
+            digest = ce.digest_masks(masks).tolist()
+        keys = [(round(o, 12), int(mask.sum()), d) for mask, o, d in zip(masks, objectives.tolist(), digest)]
+        for i, j in combinations(range(60), 2):
+            same = keys[i] == keys[j] and packed_bits(masks[i]) == packed_bits(masks[j])
+            assert (ranks[i] == ranks[j]) == same
+            if keys[i] != keys[j]:
+                assert (ranks[i] < ranks[j]) == (keys[i] < keys[j])
+            elif not same:
+                assert (ranks[i] < ranks[j]) == (packed_bits(masks[i]) < packed_bits(masks[j]))
 
 class TestCeRound:
     def test_fixed_point_at_converged_vector(self, xor_dataset):
@@ -558,30 +590,27 @@ class TestDistinctMasks:
     @given(rounds_with_copies(), st.integers(1, 3))
     def test_each_distinct_mask_scored_and_ranked_once(self, case, per_chunk):
         # On every dataset one evaluate_objective call scans the distinct
-        # masks in (popcount, digest) order, a chunk at a time. It stops after
-        # the first chunk by whose end the copies of zero-scoring masks reach
-        # ceil((1-beta)*S), or S + 1 if two distinct masks share a key: a
-        # collision round never settles. Split masks are summed only if no
-        # chunk settles the round, then each once: on data that no feature set
-        # separates, every distinct mask. One rank_masks call covers every
-        # distinct mask, and one elite_update call all S masks.
+        # masks in (popcount, digest, bits) order, a chunk at a time, whether
+        # or not digests collide. It stops after the first chunk by whose end
+        # the copies of zero-scoring masks reach ceil((1-beta)*S). Split masks
+        # are summed only if no chunk settles the round, then each once: on
+        # data that no feature set separates, every distinct mask. One
+        # rank_masks call and one elite_update call each cover all S masks.
         *case, collide = case
         dataset, _, masks, params, _ = case
         with digests(collide), chunked(dataset, per_chunk):
             _, calls, chunks, summed, ranked, updated = traced_scan(*case)
         copies = Counter(tuple(int(b) for b in row) for row in masks)
-        assert ranked == [len(copies)] and updated == [len(masks)]
+        assert ranked == [len(masks)] and updated == [len(masks)]
         assert len(calls) == 1 and all(size <= per_chunk for size in chunks)
         (scanned, scan, values), = calls
         assert len(set(scanned)) == len(scanned) == len(copies)
         zero = {row: round(conditional_entropy(dataset, row), 12) == 0.0 for row in copies}
 
         def key(row):
-            return (sum(row), 0 if collide else mask_digest(np.array(row)))
+            return (sum(row), 0 if collide else mask_digest(np.array(row)), packed_bits(row))
 
         need = min(max(math.ceil((1.0 - params.beta) * len(masks)), 1), len(masks))
-        if len({key(row) for row in copies}) < len(copies):
-            need = len(masks) + 1
         assert [key(row) for row in scanned] == sorted(key(row) for row in copies)
         assert len(scan) == 2 and scan[0].tolist() == [copies[row] for row in scanned] and scan[1] == need
         zeros = end = 0
@@ -604,7 +633,7 @@ class TestDistinctMasks:
         # need = 3 masks, and only (1, 1, 0) scores 0: the scan sorts all three
         # distinct masks in one chunk, ends unsettled and sums the other two once each.
         assert [sorted(rows) for rows, _, _ in calls] == [sorted([(0, 0, 0), (1, 0, 1), (1, 1, 0)])]
-        assert chunks == [3] and ranked == [3] and updated == [6]
+        assert chunks == [3] and ranked == [6] and updated == [6]
         assert sorted(summed) == nonzero_values(xor_noise_dataset, [(0, 0, 0), (1, 0, 1)])
         assert len(summed) == 2 and min(summed) > 0.0
 
@@ -708,24 +737,22 @@ class TestDistinctMasks:
                 assert (values > 0.0).all() and sum(chunks) == len(distinct)
                 assert sorted(summed) == sorted(values.tolist())
 
-    def test_colliding_digests_sum_every_distinct_mask_once(self, planted50, monkeypatch):
+    def test_colliding_digests_settle_as_the_real_digest_does(self, planted50):
         # On a 409-row client with the planted columns at p = 0.85, the round
         # settles at beta = 0.9 with split masks unsummed. Under a constant
-        # digest, distinct masks of equal popcount share a scan rank, so the
-        # scan never settles: it sorts every distinct mask once and sums each
-        # split one once, and the result is scoring every copy's.
+        # digest the packed bits order masks of equal popcount, so no two
+        # distinct masks share a scan rank and the round settles the same way,
+        # with the result of scoring every copy.
         dataset = partition_iid(planted50, 10)[0]
         params, p = CEParams(sample_count=200, beta=0.9), np.full(dataset.m, 0.2)
         p[:10] = 0.85
         masks = sample_masks(p, 200, [409, 1])
-        values = evaluate_objective(dataset, np.unique(masks, axis=0))
-        _, _, chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
-        assert summed == [] and sum(chunks) < len(values)
-        monkeypatch.setattr(ce, "digest_masks", constant_digest)
-        result, ((_, (_, need), _),), chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
-        assert need == 201 and sum(chunks) == len(values)
-        assert sorted(summed) == sorted(values[values > 0.0].tolist())
-        assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
+        distinct = len(np.unique(masks, axis=0))
+        for collide in (False, True):
+            with digests(collide):
+                result, ((_, (_, need), _),), chunks, summed, _, _ = traced_scan(dataset, p, masks, params, 1)
+                assert result.tobytes() == score_every_copy(dataset, p, masks, params, 1).tobytes()
+            assert need == 20 and summed == [] and sum(chunks) < distinct
 
     def test_unsettled_scan_sums_only_chunks_with_split_masks(self, planted50):
         # At beta = 0.01 the elite needs 198 of the 200 copies to score 0, but
@@ -801,11 +828,16 @@ class TestCutoffTie:
 
     @pytest.mark.parametrize("cut", [1, 2, 4, 6])
     def test_colliding_digests_take_the_whole_tie_group(self, cut, monkeypatch):
+        # Under a constant digest the packed bits order the one-feature masks:
+        # (0, 0, 1) at sorted positions 1-2, (0, 1, 0) at 3-4, (1, 0, 0) at
+        # 5-6. Only copies tie, so the elite ends with every copy of the mask
+        # at the cut.
         monkeypatch.setattr(ce, "digest_masks", constant_digest)
         params = CEParams(sample_count=9, beta=1.0 - (cut + 0.5) / 9, alpha=0.7)
         p = np.array([0.3, 0.5, 0.8])
-        # Every mask of popcount <= 1 is elite: all 7 of them, whatever the cutoff in 0..6.
-        elite = self.MASKS[self.MASKS.sum(axis=1) <= 1]
+        last = {1: (0, 0, 1), 2: (0, 0, 1), 4: (0, 1, 0), 6: (1, 0, 0)}[cut]
+        elite = np.array([mask for mask in self.MASKS if (sum(mask), packed_bits(mask)) <= (1, packed_bits(last))])
+        assert len(elite) == {1: 3, 2: 3, 4: 5, 6: 7}[cut]
         expected = np.clip((1.0 - 0.7) * p + 0.7 * elite.mean(axis=0), 1e-6, 1.0 - 1e-6)
         assert score_every_copy(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()
         assert ce_update(self.DATASET, p, self.MASKS, params, 1).tolist() == expected.tolist()

@@ -145,6 +145,7 @@ class TestConfigParsing:
             "planted_modulus = 1",
             "planted_n = 10",
             "dataset = preset\npreset = other",
+            "planted_relevant = 0,1\nplanted_redundant = 4:0,4:1",
         ],
     )
     def test_planted_keys_checked_at_parse(self, tmp_path, lines):

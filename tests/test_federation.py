@@ -537,18 +537,21 @@ class TestRunFederation:
             ({"draw_size": 0}, "draw_size must be positive"),
             ({"draw_size": -5}, "draw_size must be positive"),
             ({"clients": []}, "need at least one client"),
+            ({"clients": [0, 0]}, "client ids must be distinct"),
         ],
     )
     def test_bad_arguments_refused_before_round_one(self, tiny_planted, monkeypatch, knobs, match):
-        # The ranges ExperimentConfig.validate uses; draw_size is a ClientState field.
+        # The ranges ExperimentConfig.validate uses; draw_size is a ClientState field,
+        # and "clients" lists the ids of the clients to build.
         def no_round(*args):
             raise AssertionError("a client round ran")
 
         monkeypatch.setattr(federation, "client_round", no_round)
         knobs = dict(knobs)
         with pytest.raises(ValueError, match=match):
-            client = ClientState(0, tiny_planted, draw_size=knobs.pop("draw_size", None))
-            run_federation(knobs.pop("clients", [client]), CEParams(), **knobs)
+            draw_size = knobs.pop("draw_size", None)
+            clients = [ClientState(i, tiny_planted, draw_size=draw_size) for i in knobs.pop("clients", [0])]
+            run_federation(clients, CEParams(), **knobs)
 
     def test_mismatched_feature_counts_rejected(self, tiny_planted, xor_dataset):
         with pytest.raises(ProtocolError):
