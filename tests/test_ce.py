@@ -331,25 +331,22 @@ class TestRankMasks:
     @pytest.mark.parametrize("collide", [False, True], ids=["digest", "constant digest"])
     @pytest.mark.parametrize("m", [3, 50, 70, 2166])
     def test_distinct_masks_never_share_a_rank(self, m, collide):
-        # Copies and near-equal objectives tie; any other two masks differ in
-        # rank, in the order of (objective, popcount, digest) wherever those
-        # differ, and of the packed bits where they do not: under a constant
-        # digest, every pair of distinct masks of equal popcount.
+        # Only copies with near-equal objectives tie. The order is (objective,
+        # popcount, digest) wherever those differ, and the packed bits order
+        # the rest: under a constant digest, all distinct masks of equal popcount.
         rng = np.random.default_rng(m)
         pool = sample_masks(np.full(m, min(0.5, 3.0 / m)), 30, rng)
         masks = pool[rng.integers(0, len(pool), size=60)]
-        objectives = rng.choice([0.0, 1e-14, 0.5], size=60)
+        objectives = rng.choice([0.0, 1e-14, 0.5], size=60).tolist()
         with digests(collide):
-            ranks = rank_masks(masks, objectives)
-            digest = ce.digest_masks(masks).tolist()
-        keys = [(round(o, 12), int(mask.sum()), d) for mask, o, d in zip(masks, objectives.tolist(), digest)]
-        for i, j in combinations(range(60), 2):
-            same = keys[i] == keys[j] and packed_bits(masks[i]) == packed_bits(masks[j])
-            assert (ranks[i] == ranks[j]) == same
-            if keys[i] != keys[j]:
-                assert (ranks[i] < ranks[j]) == (keys[i] < keys[j])
-            elif not same:
-                assert (ranks[i] < ranks[j]) == (packed_bits(masks[i]) < packed_bits(masks[j]))
+            ranks = rank_masks(masks, objectives).tolist()
+        keys = [
+            (round(o, 12), int(mask.sum()), 0 if collide else mask_digest(mask), packed_bits(mask))
+            for mask, o in zip(masks, objectives)
+        ]
+        assert ranks == [sorted(set(keys)).index(k) for k in keys]
+        assert len(set(ranks)) == len({(round(o, 12), packed_bits(mask)) for mask, o in zip(masks, objectives)})
+
 
 class TestCeRound:
     def test_fixed_point_at_converged_vector(self, xor_dataset):
